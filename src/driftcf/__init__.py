@@ -49,7 +49,6 @@ from .similarity import (
     build_similarity,
     load_cache,
     save_cache,
-    similarity_row,
 )
 from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (

@@ -10,16 +10,17 @@ to stderr, never into artifacts.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import io
 import json
 import os
 import sys
-import tempfile
 from typing import Sequence
 
 import numpy as np
 
 from . import __version__
+from .atomic import atomic_open
 from .dataset import (
     Dataset,
     LogFormat,
@@ -28,7 +29,7 @@ from .dataset import (
     split_leave_latest,
     write_events,
 )
-from .decay import parse_decay
+from .decay import FAMILIES, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
     DEFAULT_POINTS_PER_PARAM,
@@ -43,6 +44,9 @@ from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
     DEFAULT_AGE_MIN,
     DEFAULT_BIN_RATIO,
+    DEFAULT_GRID_POINTS,
+    DEFAULT_TL_GRID_RANGE,
+    DEFAULT_TS_GRID_RANGE,
     BinnedCurve,
     CurveBin,
     TrendFit,
@@ -51,7 +55,10 @@ from .temporal import (
     log_bin_average,
 )
 
-SWEEP_PARAM_COLUMNS = ("t_w", "t_g", "b", "t_e", "k_o", "t_s", "t_l", "k_s", "k_l")
+# One sweep table column per decay parameter, in registry order.
+SWEEP_PARAM_COLUMNS = tuple(
+    dict.fromkeys(f.name for cls in FAMILIES.values() for f in dataclasses.fields(cls))
+)
 
 
 def _fmt(x: float) -> str:
@@ -69,24 +76,12 @@ def _round12(value):
     return value
 
 
-def _atomic_write(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".driftcf-tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
 def _emit(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        _atomic_write(path, text)
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
 
 
 def _json_text(obj) -> str:
@@ -274,11 +269,9 @@ def _sweep_csv(rows: list[dict], n_list: list[int]) -> str:
     lines = [",".join(header)]
     for row in rows:
         cells = [row["family"]]
-        params = dict(row["params"])
-        if row["family"] == "logistic":
-            params.setdefault("b", 5.0)
+        values = dataclasses.asdict(row["spec"])
         for col in SWEEP_PARAM_COLUMNS:
-            cells.append(_fmt(params[col]) if col in params else "")
+            cells.append(_fmt(values[col]) if col in values else "")
         cells.extend(_fmt(row["hit_rate"][n]) for n in n_list)
         lines.append(",".join(cells))
     return "\n".join(lines) + "\n"
@@ -287,11 +280,6 @@ def _sweep_csv(rows: list[dict], n_list: list[int]) -> str:
 def _cmd_sweep(args) -> int:
     dataset = _load_dataset(args.input)
     families = [f.strip() for f in args.family.split(",") if f.strip()]
-    for family in families:
-        if family not in ALL_FAMILIES:
-            raise ValueError(
-                f"unknown decay family {family!r} (known: {', '.join(ALL_FAMILIES)})"
-            )
     n_list = _parse_n_list(args.n)
     grid = ParamGrid.default(families, args.grid_points)
     result = grid_sweep(dataset, grid, args.objective_n, n_list, threads=args.threads)
@@ -387,9 +375,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-trend", help="fit the piecewise trend to a curve CSV")
     p.add_argument("--curve", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--ts-range", type=lambda s: _parse_range(s, "--ts-range"), default=(100.0, 1e5))
-    p.add_argument("--tl-range", type=lambda s: _parse_range(s, "--tl-range"), default=(5e5, 5e7))
-    p.add_argument("--grid-points", type=int, default=20)
+    p.add_argument(
+        "--ts-range", type=lambda s: _parse_range(s, "--ts-range"), default=DEFAULT_TS_GRID_RANGE
+    )
+    p.add_argument(
+        "--tl-range", type=lambda s: _parse_range(s, "--tl-range"), default=DEFAULT_TL_GRID_RANGE
+    )
+    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.set_defaults(func=_cmd_fit_trend)
 
     p = sub.add_parser("recommend", help="top-N recommendations for one user")
@@ -435,7 +427,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except (ValueError, OSError) as exc:
         if args.json_errors:
-            print(json.dumps({"error": str(exc)}), file=sys.stderr)
+            print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
         else:
             print(f"driftcf: error: {exc}", file=sys.stderr)
         return 1

@@ -63,9 +63,9 @@ class LogFormat:
 def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) -> RatingLog:
     """Parse an event log stream into a RatingLog.
 
-    Malformed lines (wrong field count, non-integer or negative timestamp,
-    empty identifiers) are skipped and counted, not fatal.  I/O errors
-    propagate.
+    Malformed lines (wrong field count, a timestamp that is not a string
+    of ASCII digits, empty identifiers) are skipped and counted, not
+    fatal.  I/O errors propagate.
     """
     u_col = fmt.columns.index("user")
     i_col = fmt.columns.index("item")
@@ -78,16 +78,12 @@ def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) 
         if len(fields) != 3:
             skipped += 1
             continue
-        user, item = fields[u_col], fields[i_col]
-        try:
-            ts = int(fields[t_col])
-        except ValueError:
+        user, item, stamp = fields[u_col], fields[i_col], fields[t_col]
+        # int() alone would also take "+12", " 12", "1_000" and non-ASCII digits
+        if not user or not item or not (stamp.isascii() and stamp.isdigit()):
             skipped += 1
             continue
-        if not user or not item or ts < 0:
-            skipped += 1
-            continue
-        events.append(RatingEvent(user, item, ts))
+        events.append(RatingEvent(user, item, int(stamp)))
     return RatingLog(tuple(events), skipped)
 
 

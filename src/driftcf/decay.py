@@ -13,12 +13,18 @@ seconds.  Six families are provided:
 
 All weights are dimensionless and non-increasing in age.  Specs are
 immutable values; ``eval_decay`` is pure and safe to call concurrently.
+
+Each family is defined once, as the dataclass below: ``family`` is its
+name, and each field's metadata holds the parameter's spec-string key,
+its value bound and its default sweep range.  ``FAMILIES`` lists them, and
+spec parsing and formatting, sweep grids and sweep columns read from it.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from typing import ClassVar
 
 SECONDS_PER_DAY = 86400
 
@@ -31,46 +37,57 @@ class DecayParseError(ValueError):
     """Raised when a decay spec string cannot be parsed."""
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value!r}")
-
-
-def _require_nonnegative(name: str, value: float) -> None:
-    if value < 0:
-        raise ValueError(f"{name} must be nonnegative, got {value!r}")
+def _param(key: str, bound: str | None, sweep: tuple[float, float] | None = None, default=MISSING):
+    """A spec parameter.  ``key`` names it in spec strings, ``bound`` is
+    "positive", "nonnegative" or None, and ``sweep`` is its default
+    (lo, hi) grid range, or None when the parameter is not swept."""
+    return field(default=default, metadata={"key": key, "bound": bound, "sweep": sweep})
 
 
 @dataclass(frozen=True)
-class Constant:
+class _Spec:
+    """Base of the decay families; ``family`` names one in spec strings."""
+
+    family: ClassVar[str]
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            key, bound, value = f.metadata["key"], f.metadata["bound"], getattr(self, f.name)
+            # nan weights would rank every probe first; inf ones divide by zero
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+            if (bound == "positive" and value <= 0) or (bound == "nonnegative" and value < 0):
+                raise ValueError(f"{key} must be {bound}, got {value!r}")
+
+
+@dataclass(frozen=True)
+class Constant(_Spec):
     """Uniform weighting; reproduces classic item-based CF."""
+
+    family = "constant"
 
     def weight(self, age: float) -> float:
         return 1.0
 
 
 @dataclass(frozen=True)
-class Window:
+class Window(_Spec):
     """Hard cutoff: full weight up to ``t_w`` seconds, zero after."""
 
-    t_w: float
-
-    def __post_init__(self) -> None:
-        _require_positive("Tw", self.t_w)
+    family = "window"
+    t_w: float = _param("Tw", "positive", (100.0, 1e8))
 
     def weight(self, age: float) -> float:
         return 1.0 if age <= self.t_w else 0.0
 
 
 @dataclass(frozen=True)
-class Logistic:
+class Logistic(_Spec):
     """Sigmoid roll-off with time scale ``t_g`` and offset ``b``."""
 
-    t_g: float
-    b: float = 5.0
-
-    def __post_init__(self) -> None:
-        _require_positive("Tg", self.t_g)
+    family = "logistic"
+    t_g: float = _param("Tg", "positive", (1.0, 1e8))
+    b: float = _param("b", None, default=5.0)
 
     def weight(self, age: float) -> float:
         x = age / self.t_g - self.b
@@ -82,30 +99,26 @@ class Logistic:
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Spec):
     """Exponential forgetting with time scale ``t_e``."""
 
-    t_e: float
-
-    def __post_init__(self) -> None:
-        _require_positive("Te", self.t_e)
+    family = "exp"
+    t_e: float = _param("Te", "positive", (1.0, 1e8))
 
     def weight(self, age: float) -> float:
         return math.exp(-age / self.t_e)
 
 
 @dataclass(frozen=True)
-class Outraday:
+class Outraday(_Spec):
     """Full weight within one day, then power decay with exponent ``k_o``.
 
     The one-day threshold is a fixed constant of the family, not a free
     parameter.
     """
 
-    k_o: float
-
-    def __post_init__(self) -> None:
-        _require_nonnegative("Ko", self.k_o)
+    family = "outraday"
+    k_o: float = _param("Ko", "nonnegative", (0.1, 2.0))
 
     def weight(self, age: float) -> float:
         if age < SECONDS_PER_DAY:
@@ -114,25 +127,24 @@ class Outraday:
 
 
 @dataclass(frozen=True)
-class Piecewise:
+class Piecewise(_Spec):
     """Three-phase decay: short-term power decay below ``t_s``, a unit
     plateau on [``t_s``, ``t_l``), and long-term power decay beyond ``t_l``.
 
     Both branch junctions are continuous: the short branch equals 1 at
     ``t_s`` and the long branch equals 1 at ``t_l``.  Ages below one
-    second are clamped (see ``PIECEWISE_AGE_FLOOR``).
+    second are clamped (see ``PIECEWISE_AGE_FLOOR``).  The sweep ranges of
+    ``t_s`` and ``t_l`` are also the trend fit's breakpoint ranges.
     """
 
-    t_s: float
-    t_l: float
-    k_s: float
-    k_l: float
+    family = "piecewise"
+    t_s: float = _param("Ts", "positive", (100.0, 1e5))
+    t_l: float = _param("Tl", "positive", (5e5, 5e7))
+    k_s: float = _param("Ks", "nonnegative", (0.1, 1.0))
+    k_l: float = _param("Kl", "nonnegative", (0.1, 1.0))
 
     def __post_init__(self) -> None:
-        _require_positive("Ts", self.t_s)
-        _require_positive("Tl", self.t_l)
-        _require_nonnegative("Ks", self.k_s)
-        _require_nonnegative("Kl", self.k_l)
+        super().__post_init__()
         if self.t_s > self.t_l:
             raise ValueError(f"Ts must not exceed Tl, got Ts={self.t_s!r} Tl={self.t_l!r}")
 
@@ -158,23 +170,28 @@ def eval_decay(spec: DecaySpec, age: float) -> float:
     return spec.weight(age)
 
 
+# The one table of decay families, in sweep and column order.  Spec
+# strings, sweep grids and sweep table columns are all derived from it.
+FAMILIES: dict[str, type[DecaySpec]] = {
+    cls.family: cls for cls in (Constant, Window, Logistic, Exponential, Outraday, Piecewise)
+}
+
+
+def family_class(name: str) -> type[DecaySpec]:
+    """The spec class of the family called ``name``."""
+    if name not in FAMILIES:
+        raise DecayParseError(f"unknown decay family {name!r} (known: {', '.join(FAMILIES)})")
+    return FAMILIES[name]
+
+
+def sweep_ranges(cls: type[DecaySpec]) -> dict[str, tuple[float, float]]:
+    """Default (lo, hi) grid range of each swept parameter of a family."""
+    return {f.name: f.metadata["sweep"] for f in fields(cls) if f.metadata["sweep"]}
+
+
 # Textual spec syntax, e.g. "piecewise:Ts=5e4,Tl=1e6,Ks=0.6,Kl=0.3".
-# Family name, then comma-separated key=value parameters.
-
-_FAMILY_PARAMS: dict[str, tuple[tuple[str, bool], ...]] = {
-    # (key, required)
-    "constant": (),
-    "window": (("tw", True),),
-    "logistic": (("tg", True), ("b", False)),
-    "exp": (("te", True),),
-    "outraday": (("ko", True),),
-    "piecewise": (("ts", True), ("tl", True), ("ks", True), ("kl", True)),
-}
-
-_CANONICAL_KEYS = {
-    "tw": "Tw", "tg": "Tg", "b": "b", "te": "Te", "ko": "Ko",
-    "ts": "Ts", "tl": "Tl", "ks": "Ks", "kl": "Kl",
-}
+# Family name, then comma-separated key=value parameters; keys are
+# case-insensitive and parameters with a default may be left out.
 
 
 def parse_decay(text: str) -> DecaySpec:
@@ -184,12 +201,8 @@ def parse_decay(text: str) -> DecaySpec:
     """
     head, sep, rest = text.strip().partition(":")
     family = head.strip().lower()
-    if family not in _FAMILY_PARAMS:
-        known = ", ".join(sorted(_FAMILY_PARAMS))
-        raise DecayParseError(f"unknown decay family {head.strip()!r} (known: {known})")
-
-    allowed = _FAMILY_PARAMS[family]
-    allowed_keys = [k for k, _req in allowed]
+    cls = family_class(family)
+    params = {f.metadata["key"].lower(): f for f in fields(cls)}
     values: dict[str, float] = {}
     if sep and rest.strip():
         for part in rest.split(","):
@@ -197,35 +210,25 @@ def parse_decay(text: str) -> DecaySpec:
             key = key.strip().lower()
             if not eq:
                 raise DecayParseError(f"expected key=value, got {part.strip()!r}")
-            if key not in allowed_keys:
+            if key not in params:
+                expected = ", ".join(f.metadata["key"] for f in params.values()) or "none"
                 raise DecayParseError(
-                    f"unknown parameter {key!r} for family {family!r}"
-                    f" (expected: {', '.join(_CANONICAL_KEYS[k] for k in allowed_keys) or 'none'})"
+                    f"unknown parameter {key!r} for family {family!r} (expected: {expected})"
                 )
-            if key in values:
-                raise DecayParseError(f"duplicate parameter {_CANONICAL_KEYS[key]!r}")
+            name, canonical = params[key].name, params[key].metadata["key"]
+            if name in values:
+                raise DecayParseError(f"duplicate parameter {canonical!r}")
             try:
-                values[key] = float(val.strip())
+                values[name] = float(val.strip())
             except ValueError:
                 raise DecayParseError(
-                    f"parameter {_CANONICAL_KEYS[key]!r} has non-numeric value {val.strip()!r}"
+                    f"parameter {canonical!r} has non-numeric value {val.strip()!r}"
                 ) from None
-    for key, required in allowed:
-        if required and key not in values:
-            raise DecayParseError(f"missing parameter {_CANONICAL_KEYS[key]!r} for family {family!r}")
-
+    for f in params.values():
+        if f.name not in values and f.default is MISSING:
+            raise DecayParseError(f"missing parameter {f.metadata['key']!r} for family {family!r}")
     try:
-        if family == "constant":
-            return Constant()
-        if family == "window":
-            return Window(values["tw"])
-        if family == "logistic":
-            return Logistic(values["tg"], values.get("b", 5.0))
-        if family == "exp":
-            return Exponential(values["te"])
-        if family == "outraday":
-            return Outraday(values["ko"])
-        return Piecewise(values["ts"], values["tl"], values["ks"], values["kl"])
+        return cls(**values)
     except ValueError as exc:
         raise DecayParseError(str(exc)) from None
 
@@ -236,24 +239,7 @@ def _fmt(x: float) -> str:
 
 def format_decay(spec: DecaySpec) -> str:
     """Canonical string form of a spec; round-trips through parse_decay."""
-    if isinstance(spec, Constant):
-        return "constant"
-    if isinstance(spec, Window):
-        return f"window:Tw={_fmt(spec.t_w)}"
-    if isinstance(spec, Logistic):
-        return f"logistic:Tg={_fmt(spec.t_g)},b={_fmt(spec.b)}"
-    if isinstance(spec, Exponential):
-        return f"exp:Te={_fmt(spec.t_e)}"
-    if isinstance(spec, Outraday):
-        return f"outraday:Ko={_fmt(spec.k_o)}"
-    if isinstance(spec, Piecewise):
-        return (
-            f"piecewise:Ts={_fmt(spec.t_s)},Tl={_fmt(spec.t_l)},"
-            f"Ks={_fmt(spec.k_s)},Kl={_fmt(spec.k_l)}"
-        )
-    raise TypeError(f"not a decay spec: {spec!r}")
-
-
-def family_name(spec: DecaySpec) -> str:
-    """Family identifier used in sweep tables and spec strings."""
-    return format_decay(spec).partition(":")[0]
+    if not isinstance(spec, _Spec):
+        raise TypeError(f"not a decay spec: {spec!r}")
+    params = ",".join(f"{f.metadata['key']}={_fmt(getattr(spec, f.name))}" for f in fields(spec))
+    return f"{spec.family}:{params}" if params else spec.family

@@ -23,16 +23,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .dataset import Dataset, ProbeSet, TrainSet, split_leave_latest
-from .decay import (
-    Constant,
-    DecaySpec,
-    Exponential,
-    Logistic,
-    Outraday,
-    Piecewise,
-    Window,
-    format_decay,
-)
+from .decay import FAMILIES, DecaySpec, family_class, format_decay, sweep_ranges
 from .recommender import probe_rank, score_items
 from .similarity import SimilarityModel, build_similarity
 
@@ -117,40 +108,9 @@ def evaluate(
     return evaluate_split(train, probes, model, spec, n_list)
 
 
-# Parameter sweep ranges; geometric grids resolve the decade-spanning
-# time scales.
-DEFAULT_RANGES: dict[str, dict[str, tuple[float, float]]] = {
-    "window": {"t_w": (100.0, 1e8)},
-    "logistic": {"t_g": (1.0, 1e8)},
-    "exp": {"t_e": (1.0, 1e8)},
-    "outraday": {"k_o": (0.1, 2.0)},
-    "piecewise": {
-        "t_s": (100.0, 1e5),
-        "t_l": (5e5, 5e7),
-        "k_s": (0.1, 1.0),
-        "k_l": (0.1, 1.0),
-    },
-}
-
-ALL_FAMILIES = ("constant", "window", "logistic", "exp", "outraday", "piecewise")
+ALL_FAMILIES = tuple(FAMILIES)
 
 DEFAULT_POINTS_PER_PARAM = 10
-
-
-def _make_spec(family: str, params: dict[str, float]) -> DecaySpec:
-    if family == "constant":
-        return Constant()
-    if family == "window":
-        return Window(params["t_w"])
-    if family == "logistic":
-        return Logistic(params["t_g"])
-    if family == "exp":
-        return Exponential(params["t_e"])
-    if family == "outraday":
-        return Outraday(params["k_o"])
-    if family == "piecewise":
-        return Piecewise(params["t_s"], params["t_l"], params["k_s"], params["k_l"])
-    raise ValueError(f"unknown decay family {family!r}")
 
 
 @dataclass
@@ -169,31 +129,26 @@ class ParamGrid:
         families: Sequence[str] = ALL_FAMILIES,
         points_per_param: int = DEFAULT_POINTS_PER_PARAM,
     ) -> "ParamGrid":
-        values: dict[str, dict[str, list[float]]] = {}
-        for family in families:
-            if family == "constant":
-                values[family] = {}
-            elif family in DEFAULT_RANGES:
-                values[family] = {
-                    name: [float(x) for x in np.geomspace(lo, hi, points_per_param)]
-                    for name, (lo, hi) in DEFAULT_RANGES[family].items()
-                }
-            else:
-                raise ValueError(f"unknown decay family {family!r}")
-        return cls(values)
+        """Geometric grids over each family's default sweep ranges, which
+        resolve the decade-spanning time scales."""
+        return cls({
+            family: {
+                name: [float(x) for x in np.geomspace(lo, hi, points_per_param)]
+                for name, (lo, hi) in sweep_ranges(family_class(family)).items()
+            }
+            for family in families
+        })
 
     def specs(self) -> Iterator[tuple[str, dict[str, float], DecaySpec]]:
         """All grid points in deterministic enumeration order."""
         for family, params in self.values.items():
-            if not params:
-                yield family, {}, _make_spec(family, {})
-                continue
+            spec_class = family_class(family)
             names = list(params)
             for combo in itertools.product(*(params[name] for name in names)):
                 point = dict(zip(names, combo))
                 if family == "piecewise" and point["t_s"] > point["t_l"]:
                     continue
-                yield family, point, _make_spec(family, point)
+                yield family, point, spec_class(**point)
 
     def size(self) -> int:
         return sum(1 for _ in self.specs())
@@ -242,6 +197,7 @@ def grid_sweep(
         report = evaluate_split(train, probes, model, spec, depths)
         return {
             "family": family,
+            "spec": spec,
             "params": params,
             "decay": report.decay,
             "evaluated_users": report.evaluated_users,

@@ -21,10 +21,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .atomic import atomic_open
 from .dataset import TrainSet
 
 _CACHE_MAGIC = b"DCFSIM"
 _CACHE_VERSION = 1
+# Cache layout, little-endian; save_cache and load_cache both read it here.
+_HEADER = struct.Struct("<6sH32sI")  # magic, version, training-set SHA-256, item count
+_RECORD = struct.Struct("<III")  # item index, user count, entry count
+_ENTRY = np.dtype([("j", "<u4"), ("s", "<f8")])  # column index, similarity
 
 
 class CacheFormatError(ValueError):
@@ -82,11 +87,6 @@ class SimilarityModel:
         return self.matrix.nnz
 
 
-def similarity_row(model: SimilarityModel, i: int) -> dict[int, float]:
-    """Query surface for one item's similarity row."""
-    return model.row(i)
-
-
 def build_similarity(train: TrainSet) -> SimilarityModel:
     """Build the item-item cosine model from a training set."""
     if train.n_ratings == 0:
@@ -123,64 +123,78 @@ def build_similarity(train: TrainSet) -> SimilarityModel:
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:
     """Write a binary cache of the model, keyed by the training set hash.
 
-    Layout (little-endian): magic, version u16, 32-byte SHA-256 digest,
-    item count u32, then one record per item:
-    item index u32, user count u32, entry count u32, entries (j u32, s f64).
+    Layout: a header (magic, version, 32-byte SHA-256 digest, item count),
+    then record k for item k: item index, user count, entry count, and the
+    row's entries (j, s) in ascending j.  The file appears atomically.
     """
     digest = bytes.fromhex(dataset_hash)
     if len(digest) != 32:
         raise ValueError("dataset_hash must be a 64-character hex SHA-256")
-    with open(path, "wb") as fh:
-        fh.write(_CACHE_MAGIC)
-        fh.write(struct.pack("<H", _CACHE_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<I", model.n_items))
+    with atomic_open(path, "wb") as fh:
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, model.n_items))
         for i in range(model.n_items):
             idx, val = model.row_arrays(i)
-            fh.write(struct.pack("<III", i, int(model.user_counts[i]), len(idx)))
-            for j, s in zip(idx, val):
-                fh.write(struct.pack("<Id", int(j), float(s)))
+            entries = np.empty(len(idx), dtype=_ENTRY)
+            entries["j"], entries["s"] = idx, val
+            fh.write(_RECORD.pack(i, int(model.user_counts[i]), len(idx)))
+            fh.write(entries.tobytes())
 
 
 def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
-    """Load a cached model, refusing one built from a different dataset."""
+    """Load a cached model, refusing one built from a different dataset.
+
+    Raises CacheFormatError for a malformed file: truncated or trailing
+    bytes, records out of item order, a row whose column indices are not
+    strictly increasing and below the item count, or a similarity that is
+    not finite and positive.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
-    if blob[: len(_CACHE_MAGIC)] != _CACHE_MAGIC:
+    if not blob.startswith(_CACHE_MAGIC):
         raise CacheFormatError(f"{path}: not a similarity cache")
-    off = len(_CACHE_MAGIC)
-    (version,) = struct.unpack_from("<H", blob, off)
-    off += 2
+    if len(blob) < _HEADER.size:
+        raise CacheFormatError(f"{path}: truncated cache header")
+    _magic, version, digest, n_items = _HEADER.unpack_from(blob)
     if version != _CACHE_VERSION:
         raise CacheFormatError(f"{path}: unsupported cache version {version}")
-    digest = blob[off : off + 32].hex()
-    off += 32
-    if digest != dataset_hash:
+    if digest.hex() != dataset_hash:
         raise CacheMismatchError(
             f"{path}: cache was built from a different training set "
-            f"(cache {digest[:12]}..., expected {dataset_hash[:12]}...)"
+            f"(cache {digest.hex()[:12]}..., expected {dataset_hash[:12]}...)"
         )
-    (n_items,) = struct.unpack_from("<I", blob, off)
-    off += 4
+    off = _HEADER.size
+    # every record takes at least its fixed part; checked before allocating
+    if n_items * _RECORD.size > len(blob) - off:
+        raise CacheFormatError(f"{path}: truncated cache ({n_items} items declared)")
 
     counts = np.zeros(n_items, dtype=np.int64)
     indptr = np.zeros(n_items + 1, dtype=np.int64)
     all_idx: list[np.ndarray] = []
     all_val: list[np.ndarray] = []
-    try:
-        for _ in range(n_items):
-            i, user_count, entry_count = struct.unpack_from("<III", blob, off)
-            off += 12
-            counts[i] = user_count
-            entries = np.frombuffer(
-                blob, dtype=np.dtype([("j", "<u4"), ("s", "<f8")]), count=entry_count, offset=off
+    for k in range(n_items):
+        if off + _RECORD.size > len(blob):
+            raise CacheFormatError(f"{path}: truncated cache at record {k}")
+        i, user_count, entry_count = _RECORD.unpack_from(blob, off)
+        off += _RECORD.size
+        if i != k:
+            raise CacheFormatError(f"{path}: record {k} carries item index {i}")
+        if off + entry_count * _ENTRY.itemsize > len(blob):
+            raise CacheFormatError(f"{path}: truncated cache in record {k}")
+        entries = np.frombuffer(blob, dtype=_ENTRY, count=entry_count, offset=off)
+        off += entries.nbytes
+        j, values = entries["j"], entries["s"]
+        if entry_count and (j[-1] >= n_items or np.any(j[1:] <= j[:-1])):
+            raise CacheFormatError(
+                f"{path}: record {k} column indices are not strictly increasing "
+                f"below {n_items}"
             )
-            off += 12 * entry_count
-            indptr[i + 1] = entry_count
-            all_idx.append(entries["j"].astype(np.int32))
-            all_val.append(entries["s"].astype(np.float64))
-    except (struct.error, ValueError) as exc:
-        raise CacheFormatError(f"{path}: truncated cache ({exc})") from None
+        # a nan similarity would make every probe it touches rank first
+        if not np.all(np.isfinite(values) & (values > 0)):
+            raise CacheFormatError(f"{path}: record {k} has a similarity not finite and > 0")
+        counts[k] = user_count
+        indptr[k + 1] = entry_count
+        all_idx.append(j.astype(np.int32))
+        all_val.append(values.astype(np.float64))
     if off != len(blob):
         raise CacheFormatError(f"{path}: trailing bytes after last record")
 

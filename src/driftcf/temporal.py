@@ -24,15 +24,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import ProbeSet, TrainSet
+from .decay import Piecewise, sweep_ranges
 from .recommender import ScoreVector
 from .similarity import SimilarityModel
 
 DEFAULT_BIN_RATIO = 10 ** 0.1  # ten bins per decade
 DEFAULT_AGE_MIN = 1.0
 
-# Sweep ranges for the trend breakpoints, geometrically gridded.
-DEFAULT_TS_GRID_RANGE = (100.0, 1e5)
-DEFAULT_TL_GRID_RANGE = (5e5, 5e7)
+# The trend breakpoints are searched over the piecewise decay's sweep
+# ranges, geometrically gridded.
+DEFAULT_TS_GRID_RANGE = sweep_ranges(Piecewise)["t_s"]
+DEFAULT_TL_GRID_RANGE = sweep_ranges(Piecewise)["t_l"]
 DEFAULT_GRID_POINTS = 20
 
 
@@ -185,12 +187,6 @@ def log_bin_average(
     return BinnedCurve(bins, ratio, age_min)
 
 
-def default_breakpoint_grid(
-    lo: float, hi: float, points: int = DEFAULT_GRID_POINTS
-) -> np.ndarray:
-    return np.geomspace(lo, hi, points)
-
-
 def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
     """Least-squares line in log-log space; returns (slope, ssr)."""
     slope, intercept = np.polyfit(log_x, log_y, 1)
@@ -214,9 +210,9 @@ def fit_piecewise_trend(
     Zero-mean bins cannot be represented in log space and are ignored.
     """
     if ts_grid is None:
-        ts_grid = default_breakpoint_grid(*DEFAULT_TS_GRID_RANGE)
+        ts_grid = np.geomspace(*DEFAULT_TS_GRID_RANGE, DEFAULT_GRID_POINTS)
     if tl_grid is None:
-        tl_grid = default_breakpoint_grid(*DEFAULT_TL_GRID_RANGE)
+        tl_grid = np.geomspace(*DEFAULT_TL_GRID_RANGE, DEFAULT_GRID_POINTS)
 
     usable = [b for b in curve.bins if b.mean_ssnr > 0]
     mids = np.array([math.sqrt(b.age_lo * b.age_hi) for b in usable])

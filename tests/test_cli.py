@@ -256,6 +256,18 @@ class TestSweep:
         constant_rows = [r for r in lines[1:] if r.startswith("constant,")]
         assert len(constant_rows) == 1
 
+    def test_table_header(self, small_log, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        code, _out, _err = run(
+            capsys, "sweep", "--in", str(small_log), "--family", "logistic",
+            "--grid-points", "1", "--table-out", str(table),
+        )
+        assert code == 0
+        lines = table.read_text().splitlines()
+        assert lines[0] == "family,t_w,t_g,b,t_e,k_o,t_s,t_l,k_s,k_l,h_at_10,h_at_20,h_at_50"
+        # logistic rows carry the default offset b read from the spec
+        assert lines[1].startswith("logistic,,1,5,,,,,,,")
+
     def test_unknown_family_rejected(self, small_log, capsys):
         code, _out, err = run(
             capsys, "sweep", "--in", str(small_log), "--family", "linear",

@@ -44,6 +44,13 @@ class TestParseEvents:
         assert [e.user for e in log.events] == ["u2"]
         assert log.skipped == 3
 
+    def test_only_ascii_digit_timestamps_accepted(self):
+        stamps = ("1_000", "+12", " 12", "\u0661\u0662")  # the last is Arabic-Indic 12
+        text = "".join(f"u1\ta\t{t}\n" for t in stamps) + "u2\ta\t12\n"
+        log = parse_events(io.StringIO(text))
+        assert log.events == (RatingEvent("u2", "a", 12),)
+        assert log.skipped == 4
+
     def test_custom_format(self):
         fmt = LogFormat(delimiter=",", columns=("timestamp", "user", "item"))
         log = parse_events(io.StringIO("42,u1,x\n"), fmt)

@@ -1,11 +1,15 @@
 """Closed-form values, continuity, monotonicity, and the spec syntax."""
 
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from driftcf import decay
 from driftcf.decay import (
     Constant,
     DecayParseError,
@@ -15,7 +19,6 @@ from driftcf.decay import (
     Piecewise,
     Window,
     eval_decay,
-    family_name,
     format_decay,
     parse_decay,
 )
@@ -162,6 +165,27 @@ class TestValidation:
         assert eval_decay(Exponential(1.0), 10**9) == 0.0
 
 
+# Spec strings carry 12 significant digits, so draws are rounded to that.
+_BOUND_STRATEGIES = {
+    "positive": st.floats(min_value=1e-9, max_value=1e12),
+    "nonnegative": st.floats(min_value=0.0, max_value=1e12),
+    None: st.floats(min_value=-1e12, max_value=1e12),
+}
+
+
+@st.composite
+def valid_specs(draw):
+    """Any spec of any registered family, with spec-string-exact values."""
+    spec_class = draw(st.sampled_from(list(decay.FAMILIES.values())))
+    values = {
+        f.name: float(format(draw(_BOUND_STRATEGIES[f.metadata["bound"]]), ".12g"))
+        for f in dataclasses.fields(spec_class)
+    }
+    if spec_class is Piecewise and values["t_s"] > values["t_l"]:
+        values["t_s"], values["t_l"] = values["t_l"], values["t_s"]
+    return spec_class(**values)
+
+
 class TestSpecSyntax:
     CASES = (
         ("constant", Constant()),
@@ -176,9 +200,9 @@ class TestSpecSyntax:
         for text, expected in self.CASES:
             assert parse_decay(text) == expected
 
-    def test_format_round_trip(self):
-        for _text, spec in self.CASES:
-            assert parse_decay(format_decay(spec)) == spec
+    @given(valid_specs())
+    def test_format_round_trip(self, spec):
+        assert parse_decay(format_decay(spec)) == spec
 
     def test_logistic_b_defaults_to_five(self):
         assert parse_decay("logistic:Tg=100") == Logistic(100.0, 5.0)
@@ -207,6 +231,16 @@ class TestSpecSyntax:
         with pytest.raises(DecayParseError, match="Tw"):
             parse_decay("window:Tw=-5")
 
+    @pytest.mark.parametrize(
+        "text", ["outraday:Ko=nan", "logistic:Tg=1e4,b=nan", "piecewise:Ts=inf,Tl=inf,Ks=1,Kl=1"]
+    )
+    def test_non_finite_value_reported(self, text):
+        with pytest.raises(DecayParseError, match="must be finite"):
+            parse_decay(text)
+
     def test_family_name(self):
-        assert family_name(Piecewise(5e4, 1e6, 0.6, 0.3)) == "piecewise"
-        assert family_name(Constant()) == "constant"
+        assert Piecewise(5e4, 1e6, 0.6, 0.3).family == "piecewise"
+        assert Constant().family == "constant"
+
+    def test_constant_formats_without_colon(self):
+        assert format_decay(Constant()) == "constant"

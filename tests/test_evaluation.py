@@ -5,7 +5,7 @@ import random
 import pytest
 
 from driftcf.dataset import RatingEvent, RatingLog, preprocess
-from driftcf.decay import Constant, Piecewise, eval_decay, parse_decay
+from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_decay
 from driftcf.evaluation import (
     EvalReport,
     ParamGrid,
@@ -147,6 +147,40 @@ class TestParamGrid:
         assert families == {
             "constant", "window", "logistic", "exp", "outraday", "piecewise",
         }
+
+    def test_two_point_default_grid_decay_strings(self):
+        grid = ParamGrid.default(points_per_param=2)
+        assert [format_decay(spec) for _f, _p, spec in grid.specs()] == [
+            "constant",
+            "window:Tw=100",
+            "window:Tw=100000000",
+            "logistic:Tg=1,b=5",
+            "logistic:Tg=100000000,b=5",
+            "exp:Te=1",
+            "exp:Te=100000000",
+            "outraday:Ko=0.1",
+            "outraday:Ko=2",
+            "piecewise:Ts=100,Tl=500000,Ks=0.1,Kl=0.1",
+            "piecewise:Ts=100,Tl=500000,Ks=0.1,Kl=1",
+            "piecewise:Ts=100,Tl=500000,Ks=1,Kl=0.1",
+            "piecewise:Ts=100,Tl=500000,Ks=1,Kl=1",
+            "piecewise:Ts=100,Tl=50000000,Ks=0.1,Kl=0.1",
+            "piecewise:Ts=100,Tl=50000000,Ks=0.1,Kl=1",
+            "piecewise:Ts=100,Tl=50000000,Ks=1,Kl=0.1",
+            "piecewise:Ts=100,Tl=50000000,Ks=1,Kl=1",
+            "piecewise:Ts=100000,Tl=500000,Ks=0.1,Kl=0.1",
+            "piecewise:Ts=100000,Tl=500000,Ks=0.1,Kl=1",
+            "piecewise:Ts=100000,Tl=500000,Ks=1,Kl=0.1",
+            "piecewise:Ts=100000,Tl=500000,Ks=1,Kl=1",
+            "piecewise:Ts=100000,Tl=50000000,Ks=0.1,Kl=0.1",
+            "piecewise:Ts=100000,Tl=50000000,Ks=0.1,Kl=1",
+            "piecewise:Ts=100000,Tl=50000000,Ks=1,Kl=0.1",
+            "piecewise:Ts=100000,Tl=50000000,Ks=1,Kl=1",
+        ]
+
+    def test_unknown_family_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="linear.*constant, window, logistic"):
+            ParamGrid.default(families=("linear",))
 
     def test_enumeration_count_with_ts_tl_filter(self):
         grid = ParamGrid.default(families=("piecewise",), points_per_param=3)

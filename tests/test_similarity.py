@@ -1,11 +1,16 @@
 """Similarity model construction, queries, and the binary cache."""
 
+import json
 import math
 import random
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from driftcf.cli import main
 from driftcf.dataset import RatingEvent, RatingLog, preprocess
 from driftcf.similarity import (
     CacheFormatError,
@@ -13,7 +18,6 @@ from driftcf.similarity import (
     build_similarity,
     load_cache,
     save_cache,
-    similarity_row,
 )
 from oracles import dense_cosine, random_dataset
 
@@ -137,9 +141,9 @@ class TestRowQueries:
         train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
         model = build_similarity(train)
         with pytest.raises(IndexError):
-            similarity_row(model, model.n_items)
+            model.row(model.n_items)
         with pytest.raises(IndexError):
-            similarity_row(model, -1)
+            model.row(-1)
 
     def test_row_without_neighbors_is_empty(self):
         train = train_of(
@@ -153,7 +157,7 @@ class TestRowQueries:
             for prof in train.profiles
         ]
         model = build_similarity(train)
-        assert similarity_row(model, train.item_index["a"]).get(train.item_index["b"]) is None
+        assert model.row(train.item_index["a"]).get(train.item_index["b"]) is None
 
 
 class TestCache:
@@ -194,3 +198,157 @@ class TestCache:
         path.write_bytes(blob[:-6])
         with pytest.raises(CacheFormatError):
             load_cache(str(path), train.content_hash())
+
+
+# Byte offsets of the cache layout: magic (6), version (2), digest (32),
+# item count (4); then per item: index, user count, entry count (u4 each)
+# and entry count x (j u4, s f8).
+CACHE_HEADER_SIZE = 44
+
+
+def cache_records(blob: bytes) -> list[tuple[int, int]]:
+    """(offset, entry count) of every record of a well-formed cache."""
+    (n_items,) = struct.unpack_from("<I", blob, CACHE_HEADER_SIZE - 4)
+    records, off = [], CACHE_HEADER_SIZE
+    for _ in range(n_items):
+        (count,) = struct.unpack_from("<I", blob, off + 8)
+        records.append((off, count))
+        off += 12 + 12 * count
+    return records
+
+
+def corrupt_cache(blob: bytes, kind: str) -> bytes:
+    out = bytearray(blob)
+    records = cache_records(blob)
+    n_items = len(records)
+    with_two = next(r for r in records if r[1] >= 2)
+    if kind == "item_index_out_of_range":
+        struct.pack_into("<I", out, records[0][0], n_items + 5)
+    elif kind == "swapped_item_indices":
+        struct.pack_into("<I", out, records[0][0], 1)
+        struct.pack_into("<I", out, records[1][0], 0)
+    elif kind == "column_past_n_items":
+        off, count = with_two
+        struct.pack_into("<I", out, off + 12 * count, n_items)
+    elif kind == "duplicate_column":
+        off, _count = with_two
+        struct.pack_into("<I", out, off + 24, struct.unpack_from("<I", out, off + 12)[0])
+    elif kind == "descending_columns":
+        off, _count = with_two
+        first, second = struct.unpack_from("<I", out, off + 12)[0], struct.unpack_from("<I", out, off + 24)[0]
+        struct.pack_into("<I", out, off + 12, second)
+        struct.pack_into("<I", out, off + 24, first)
+    elif kind == "nan_similarity":
+        off, _count = with_two
+        struct.pack_into("<d", out, off + 16, float("nan"))
+    else:
+        raise ValueError(kind)
+    return bytes(out)
+
+
+CORRUPTIONS = (
+    "item_index_out_of_range",
+    "swapped_item_indices",
+    "column_past_n_items",
+    "duplicate_column",
+    "descending_columns",
+    "nan_similarity",
+)
+
+
+@pytest.fixture(scope="module")
+def small_cache(tmp_path_factory):
+    """Three items co-rated by two users: every row holds two entries."""
+    train = train_of(
+        ("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3),
+        ("u2", "b", 4), ("u1", "c", 5), ("u2", "c", 6),
+    )
+    path = tmp_path_factory.mktemp("cache") / "sim.bin"
+    save_cache(build_similarity(train), str(path), train.content_hash())
+    return train.content_hash(), path.read_bytes()
+
+
+@pytest.fixture(scope="module")
+def cli_cache(tmp_path_factory):
+    """A synthetic log and the similarity cache evaluate writes for it."""
+    work = tmp_path_factory.mktemp("cli")
+    log, cache = work / "log.tsv", work / "sim.bin"
+    assert main([
+        "synth", "--seed", "7", "--out", str(log),
+        "--users", "40", "--items", "120", "--events", "1600", "--topics", "6",
+    ]) == 0
+    assert main([
+        "evaluate", "--in", str(log), "--sim-cache", str(cache),
+        "--out", str(work / "eval.json"),
+    ]) == 0
+    return log, cache.read_bytes()
+
+
+class TestCorruptCache:
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_corruption_rejected(self, small_cache, tmp_path, kind):
+        digest, blob = small_cache
+        path = tmp_path / "bad.bin"
+        path.write_bytes(corrupt_cache(blob, kind))
+        with pytest.raises(CacheFormatError):
+            load_cache(str(path), digest)
+
+    def test_huge_item_count_rejected_before_allocating(self, small_cache, tmp_path):
+        digest, blob = small_cache
+        out = bytearray(blob)
+        struct.pack_into("<I", out, CACHE_HEADER_SIZE - 4, 2**32 - 1)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(out))
+        with pytest.raises(CacheFormatError, match="truncated"):
+            load_cache(str(path), digest)
+
+    def test_short_header_rejected(self, small_cache, tmp_path):
+        digest, blob = small_cache
+        path = tmp_path / "bad.bin"
+        path.write_bytes(blob[:10])
+        with pytest.raises(CacheFormatError):
+            load_cache(str(path), digest)
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_byte_mutations_raise_only_cache_errors(self, small_cache, tmp_path, data):
+        digest, blob = small_cache
+        out = bytearray(blob)
+        for _ in range(data.draw(st.integers(1, 4))):
+            out[data.draw(st.integers(0, len(out) - 1))] = data.draw(st.integers(0, 255))
+        path = tmp_path / "mutated.bin"
+        path.write_bytes(bytes(out))
+        try:
+            load_cache(str(path), digest)
+        except (CacheFormatError, CacheMismatchError):
+            pass
+
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    def test_cli_names_the_error(self, cli_cache, tmp_path, capsys, kind):
+        log, blob = cli_cache
+        path = tmp_path / "bad.bin"
+        path.write_bytes(corrupt_cache(blob, kind))
+        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert json.loads(err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+
+    @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cli_on_mutated_cache_exits_cleanly(self, cli_cache, tmp_path, capsys, data):
+        log, blob = cli_cache
+        out = bytearray(blob)
+        # bias half the draws toward the header and the first records
+        span = data.draw(st.sampled_from([256, len(out)]))
+        for _ in range(data.draw(st.integers(1, 4))):
+            out[data.draw(st.integers(0, span - 1))] = data.draw(st.integers(0, 255))
+        path = tmp_path / "mutated.bin"
+        path.write_bytes(bytes(out))
+        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 1:
+            assert json.loads(err.strip().splitlines()[-1])["type"] in (
+                "CacheFormatError", "CacheMismatchError",
+            )
