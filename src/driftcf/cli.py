@@ -3,8 +3,8 @@
 Subcommands: synth, ingest, analyze-ssnr, fit-trend, recommend, evaluate,
 sweep.  All file outputs are written atomically (temp file + rename) and
 all floating-point values are serialized with 12 significant digits, so a
-fixed seed and thread count reproduce outputs byte for byte.  Timings go
-to stderr, never into artifacts.
+fixed seed reproduces outputs byte for byte.  Timings go to stderr, never
+into artifacts.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def _cmd_sweep(args) -> int:
     families = [f.strip() for f in args.family.split(",") if f.strip()]
     n_list = _parse_n_list(args.n)
     grid = ParamGrid.default(families, args.grid_points)
-    result = grid_sweep(dataset, grid, args.objective_n, n_list, threads=args.threads)
+    result = grid_sweep(dataset, grid, args.objective_n, n_list)
     depths = list(n_list)
     if args.objective_n not in depths:
         depths.append(args.objective_n)
@@ -307,16 +307,6 @@ def _cmd_sweep(args) -> int:
         }
         _emit(args.best_out, _json_text(best))
     return 0
-
-
-def _default_threads() -> int:
-    env = os.environ.get("DRIFTCF_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -414,7 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="10,20,50")
     p.add_argument("--table-out", required=True, help="full results CSV path")
     p.add_argument("--best-out", help="optional best-parameters JSON path")
-    p.add_argument("--threads", type=int, default=_default_threads())
+    # deprecated and ignored: sweeps run in one thread
+    p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sweep)
 
     return parser

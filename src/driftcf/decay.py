@@ -12,7 +12,8 @@ seconds.  Six families are provided:
                      power decay (t/T_l)^-K_l beyond T_l
 
 All weights are dimensionless and non-increasing in age.  Specs are
-immutable values; ``eval_decay`` is pure and safe to call concurrently.
+immutable values.  Each family's ``weight`` maps an array of ages to an
+array of weights; ``eval_decay`` is the scalar form of the same code.
 
 Each family is defined once, as the dataclass below: ``family`` is its
 name, and each field's metadata holds the parameter's spec-string key,
@@ -25,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import MISSING, dataclass, field, fields
 from typing import ClassVar
+
+import numpy as np
 
 SECONDS_PER_DAY = 86400
 
@@ -66,8 +69,8 @@ class Constant(_Spec):
 
     family = "constant"
 
-    def weight(self, age: float) -> float:
-        return 1.0
+    def weight(self, age: np.ndarray) -> np.ndarray:
+        return np.ones_like(age, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -77,8 +80,8 @@ class Window(_Spec):
     family = "window"
     t_w: float = _param("Tw", "positive", (100.0, 1e8))
 
-    def weight(self, age: float) -> float:
-        return 1.0 if age <= self.t_w else 0.0
+    def weight(self, age: np.ndarray) -> np.ndarray:
+        return np.where(age <= self.t_w, 1.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -89,13 +92,11 @@ class Logistic(_Spec):
     t_g: float = _param("Tg", "positive", (1.0, 1e8))
     b: float = _param("b", None, default=5.0)
 
-    def weight(self, age: float) -> float:
+    def weight(self, age: np.ndarray) -> np.ndarray:
         x = age / self.t_g - self.b
         # 1 / (1 + e^x), evaluated without overflow for large x
-        if x >= 0:
-            z = math.exp(-x)
-            return z / (1.0 + z)
-        return 1.0 / (1.0 + math.exp(x))
+        z = np.exp(-np.abs(x))
+        return np.where(x >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
 
 @dataclass(frozen=True)
@@ -105,8 +106,8 @@ class Exponential(_Spec):
     family = "exp"
     t_e: float = _param("Te", "positive", (1.0, 1e8))
 
-    def weight(self, age: float) -> float:
-        return math.exp(-age / self.t_e)
+    def weight(self, age: np.ndarray) -> np.ndarray:
+        return np.exp(-age / self.t_e)
 
 
 @dataclass(frozen=True)
@@ -120,10 +121,8 @@ class Outraday(_Spec):
     family = "outraday"
     k_o: float = _param("Ko", "nonnegative", (0.1, 2.0))
 
-    def weight(self, age: float) -> float:
-        if age < SECONDS_PER_DAY:
-            return 1.0
-        return (age / SECONDS_PER_DAY) ** -self.k_o
+    def weight(self, age: np.ndarray) -> np.ndarray:
+        return (np.maximum(age, SECONDS_PER_DAY) / SECONDS_PER_DAY) ** -self.k_o
 
 
 @dataclass(frozen=True)
@@ -148,13 +147,11 @@ class Piecewise(_Spec):
         if self.t_s > self.t_l:
             raise ValueError(f"Ts must not exceed Tl, got Ts={self.t_s!r} Tl={self.t_l!r}")
 
-    def weight(self, age: float) -> float:
-        t = age if age > PIECEWISE_AGE_FLOOR else PIECEWISE_AGE_FLOOR
-        if t < self.t_s:
-            return (t / self.t_s) ** -self.k_s
-        if t < self.t_l:
-            return 1.0
-        return (t / self.t_l) ** -self.k_l
+    def weight(self, age: np.ndarray) -> np.ndarray:
+        t = np.maximum(age, PIECEWISE_AGE_FLOOR)
+        # each factor is exactly 1 outside its own branch, as t_s <= t_l
+        short = (np.minimum(t, self.t_s) / self.t_s) ** -self.k_s
+        return short * (np.maximum(t, self.t_l) / self.t_l) ** -self.k_l
 
 
 DecaySpec = Constant | Window | Logistic | Exponential | Outraday | Piecewise
@@ -167,7 +164,7 @@ def eval_decay(spec: DecaySpec, age: float) -> float:
     """
     if age < 0:
         raise ValueError(f"age must be nonnegative, got {age!r}")
-    return spec.weight(age)
+    return float(spec.weight(np.array([age], dtype=float))[0])
 
 
 # The one table of decay families, in sweep and column order.  Spec

@@ -2,8 +2,8 @@
 
 Each user's held-out latest rating is the probe; its timestamp is the
 moment the recommendation is made.  The split and the similarity model
-are built once and shared by all users and all sweep points.  Hit-rate at
-search depth N is
+are built once and shared by all users and all sweep points; one pass
+over the users scores every sweep point.  Hit-rate at search depth N is
 
     H@N = (1 / |U_eval|) * sum over users of h(probe, N) / N,
 
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -24,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, ProbeSet, TrainSet, split_leave_latest
 from .decay import FAMILIES, DecaySpec, family_class, format_decay, sweep_ranges
-from .recommender import probe_rank, score_items
+from .recommender import probe_rank, score_specs
 from .similarity import SimilarityModel, build_similarity
 
 
@@ -68,14 +67,14 @@ def prepare_evaluation(dataset: Dataset) -> tuple[TrainSet, ProbeSet, Similarity
     return train, probes, model
 
 
-def evaluate_split(
+def _evaluate_specs(
     train: TrainSet,
     probes: ProbeSet,
     model: SimilarityModel,
-    spec: DecaySpec,
-    n_list: Sequence[int] = (10, 20, 50),
-) -> EvalReport:
-    """Evaluate one decay spec against an existing split and model."""
+    specs: Sequence[DecaySpec],
+    n_list: Sequence[int],
+) -> list[EvalReport]:
+    """One report per spec, from one pass over the users timed as a whole."""
     depths = list(n_list)
     for n in depths:
         if n < 1:
@@ -84,20 +83,32 @@ def evaluate_split(
     if not users:
         raise ValueError("no evaluable users: every profile has fewer than 2 ratings")
     started = time.perf_counter()
-    hits = dict.fromkeys(depths, 0)
+    hits = [dict.fromkeys(depths, 0) for _ in specs]
     for u in users:
         probe_item, probe_time = probes.probes[u]
-        scores = score_items(train, model, u, probe_time, spec)
-        rank = probe_rank(scores, probe_item)
-        if rank is not None:
+        for spec_hits, scores in zip(hits, score_specs(train, model, u, probe_time, specs)):
+            rank = probe_rank(scores, probe_item)
             for n in depths:
-                if rank <= n:
-                    hits[n] += 1
+                spec_hits[n] += rank is not None and rank <= n
+    elapsed = time.perf_counter() - started
     count = len(users)
-    results = [
-        DepthResult(n, hits[n], hits[n] / (count * n), hits[n] / count) for n in depths
+    return [
+        EvalReport(format_decay(spec), count, elapsed, [
+            DepthResult(n, h[n], h[n] / (count * n), h[n] / count) for n in depths
+        ])
+        for spec, h in zip(specs, hits)
     ]
-    return EvalReport(format_decay(spec), count, time.perf_counter() - started, results)
+
+
+def evaluate_split(
+    train: TrainSet,
+    probes: ProbeSet,
+    model: SimilarityModel,
+    spec: DecaySpec,
+    n_list: Sequence[int] = (10, 20, 50),
+) -> EvalReport:
+    """Evaluate one decay spec against an existing split and model."""
+    return _evaluate_specs(train, probes, model, [spec], n_list)[0]
 
 
 def evaluate(
@@ -130,7 +141,12 @@ class ParamGrid:
         points_per_param: int = DEFAULT_POINTS_PER_PARAM,
     ) -> "ParamGrid":
         """Geometric grids over each family's default sweep ranges, which
-        resolve the decade-spanning time scales."""
+        resolve the decade-spanning time scales.
+
+        Raises ValueError when ``points_per_param`` is below 1.
+        """
+        if points_per_param < 1:
+            raise ValueError(f"points per parameter must be at least 1, got {points_per_param}")
         return cls({
             family: {
                 name: [float(x) for x in np.geomspace(lo, hi, points_per_param)]
@@ -176,13 +192,12 @@ def grid_sweep(
     grid: ParamGrid,
     objective_n: int = 10,
     n_list: Sequence[int] = (10, 20, 50),
-    threads: int = 1,
 ) -> SweepResult:
     """Evaluate every grid point and pick the best by H@objective_n.
 
     Ties break toward the earlier grid point.  All points share one split
-    and one similarity model; points are independent, so they may be
-    dispatched to a thread pool without affecting results.
+    and one similarity model, and each user's similarity rows are
+    gathered once for all points.
     """
     depths = list(n_list)
     if objective_n not in depths:
@@ -191,11 +206,9 @@ def grid_sweep(
     if not entries:
         raise ValueError("parameter grid is empty")
     train, probes, model = prepare_evaluation(dataset)
-
-    def run(entry: tuple[str, dict[str, float], DecaySpec]) -> dict:
-        family, params, spec = entry
-        report = evaluate_split(train, probes, model, spec, depths)
-        return {
+    reports = _evaluate_specs(train, probes, model, [spec for _f, _p, spec in entries], depths)
+    rows = [
+        {
             "family": family,
             "spec": spec,
             "params": params,
@@ -204,15 +217,7 @@ def grid_sweep(
             "hits": {r.n: r.hits for r in report.results},
             "hit_rate": {r.n: r.hit_rate for r in report.results},
         }
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(run, entries))
-    else:
-        rows = [run(entry) for entry in entries]
-
-    best_idx = 0
-    for k, row in enumerate(rows):
-        if row["hit_rate"][objective_n] > rows[best_idx]["hit_rate"][objective_n]:
-            best_idx = k
+        for (family, params, spec), report in zip(entries, reports)
+    ]
+    best_idx = max(range(len(rows)), key=lambda k: rows[k]["hit_rate"][objective_n])
     return SweepResult(entries[best_idx][2], rows[best_idx], rows, objective_n)

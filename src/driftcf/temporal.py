@@ -259,16 +259,15 @@ def compute_fsnr(scores: ScoreVector, probe_item: int) -> float:
 
     Requires the probe to be among the scored candidates.  Raises
     DegenerateRatioError when the non-probe scores (or all scores) vanish.
+    The noise sum is exactly rounded, so their order does not matter.
     """
-    values = scores.scores
-    if probe_item not in values:
+    probe = scores.items == probe_item
+    if not probe.any():
         raise ValueError(f"probe item {probe_item} is not among the scored candidates")
-    signal = values[probe_item]
+    signal = float(scores.scores[probe][0])
     num = signal * signal
-    denom = 0.0
-    for item, f in values.items():
-        if item != probe_item:
-            denom += f * f
+    noise = scores.scores[~probe]
+    denom = math.fsum(noise * noise)
     if denom == 0.0:
         if num > 0.0:
             raise DegenerateRatioError(

@@ -40,6 +40,7 @@ from driftcf.temporal import (
 )
 import numpy as np
 
+from helpers import scores_dict
 from oracles import (
     dense_cosine,
     dense_scores,
@@ -143,9 +144,9 @@ def test_scoring_oracle():
                 sv = score_items(train, model, u, t_now, spec)
                 expected = dense_scores(train, dense, u, t_now, closed_form_weight)
                 for j in range(train.n_items):
-                    assert abs(sv.scores.get(j, 0.0) - expected.get(j, 0.0)) < 1e-12
+                    assert abs(scores_dict(sv).get(j, 0.0) - expected.get(j, 0.0)) < 1e-12
                 for n in (1, 5, 10):
-                    assert top_n(sv, n) == sort_truncate(sv.scores, n)
+                    assert top_n(sv, n) == sort_truncate(scores_dict(sv), n)
 
 
 def test_decay_correctness():

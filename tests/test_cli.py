@@ -276,6 +276,26 @@ class TestSweep:
         assert code == 1
         assert "linear" in err
 
+    def test_zero_grid_points_rejected(self, small_log, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        code, _out, err = run(
+            capsys, "sweep", "--in", str(small_log), "--grid-points", "0",
+            "--table-out", str(table),
+        )
+        assert code == 1
+        assert "points per parameter must be at least 1" in err
+        assert not table.exists()
+
+    def test_threads_flag_hidden_and_ignored(self, small_log, tmp_path, capsys):
+        with pytest.raises(SystemExit):
+            main(["sweep", "--help"])
+        assert "--threads" not in capsys.readouterr().out
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        args = ["sweep", "--in", str(small_log), "--family", "exp", "--grid-points", "2"]
+        assert main(args + ["--table-out", str(a), "--threads", "3"]) == 0
+        assert main(args + ["--table-out", str(b)]) == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_byte_reproducible(self, small_log, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["sweep", "--in", str(small_log), "--family", "outraday",

@@ -22,6 +22,7 @@ from driftcf.decay import (
     format_decay,
     parse_decay,
 )
+from driftcf.evaluation import ParamGrid
 
 TOL = 1e-12
 
@@ -136,6 +137,23 @@ class TestMonotonicity:
                 ages.add(86399)
                 ages.add(86400)
                 assert_non_increasing(spec, sorted(ages))
+
+
+class TestArrayWeights:
+    def test_array_weights_equal_scalar_eval_bit_for_bit(self):
+        grid = ParamGrid.default(points_per_param=4)
+        base = {int(a) for a in np.geomspace(1, 10**9, 300)} | {0, 86399, 86400, 86401}
+        for _family, _params, spec in grid.specs():
+            ages = set(base)
+            for name in ("t_w", "t_g", "t_e", "t_s", "t_l"):
+                value = getattr(spec, name, None)
+                if value is not None:
+                    ages.update(max(0, int(value) + d) for d in (-1, 0, 1))
+            ages = np.array(sorted(ages), dtype=float)
+            weights = spec.weight(ages)
+            assert weights.shape == ages.shape
+            for age, w in zip(ages, weights):
+                assert float(w).hex() == eval_decay(spec, float(age)).hex(), (spec, age)
 
 
 class TestValidation:

@@ -10,8 +10,10 @@ from driftcf.evaluation import (
     EvalReport,
     ParamGrid,
     evaluate,
+    evaluate_split,
     grid_sweep,
     hit_rate,
+    prepare_evaluation,
 )
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from oracles import pipeline_hits, random_dataset
@@ -178,6 +180,11 @@ class TestParamGrid:
             "piecewise:Ts=100000,Tl=50000000,Ks=1,Kl=1",
         ]
 
+    def test_points_per_param_below_one_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="points per parameter"):
+                ParamGrid.default(points_per_param=bad)
+
     def test_unknown_family_names_the_known_ones(self):
         with pytest.raises(ValueError, match="linear.*constant, window, logistic"):
             ParamGrid.default(families=("linear",))
@@ -247,15 +254,20 @@ class TestGridSweep:
                 wins += 1
         assert wins >= 4
 
-    def test_threaded_sweep_matches_serial(self):
+    def test_sweep_rows_match_evaluate_split(self):
         ds = preprocess(generate_synthetic(SyntheticConfig(
             users=40, items=100, events=1200, topics=6, seed=8,
         )))
-        grid = ParamGrid.default(families=("exp", "outraday"), points_per_param=3)
-        serial = grid_sweep(ds, grid, threads=1)
-        threaded = grid_sweep(ds, grid, threads=4)
-        for a, b in zip(serial.rows, threaded.rows):
-            assert a == b
+        grid = ParamGrid.default(points_per_param=2)
+        result = grid_sweep(ds, grid)
+        train, probes, model = prepare_evaluation(ds)
+        assert len(result.rows) == grid.size()
+        for row in result.rows:
+            report = evaluate_split(train, probes, model, row["spec"])
+            assert row["decay"] == report.decay
+            assert row["evaluated_users"] == report.evaluated_users
+            assert row["hits"] == {r.n: r.hits for r in report.results}
+            assert row["hit_rate"] == {r.n: r.hit_rate for r in report.results}
 
     def test_empty_grid_rejected(self):
         ds = dataset_where_probe_always_wins()

@@ -8,8 +8,9 @@ import scipy.sparse as sp
 
 from driftcf.dataset import Dataset
 from driftcf.decay import Constant, Outraday, Piecewise, Window, eval_decay
-from driftcf.recommender import ScoreVector, probe_rank, score_items, top_n
+from driftcf.recommender import probe_rank, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
+from helpers import score_vector, scores_dict
 from oracles import (
     dense_cosine,
     dense_scores,
@@ -42,7 +43,7 @@ class TestScoreItems:
         model = model_from_dense(dense)
         train = train_with_profiles(3, [[(0, 100)]])
         sv = score_items(train, model, 0, 500, Constant())
-        assert sv.scores == {1: pytest.approx(0.4)}
+        assert scores_dict(sv) == {1: pytest.approx(0.4)}
 
     def test_two_term_sum_with_half_weight(self):
         # outraday with Ko=1 gives weight 1 at age 0 and exactly 1/2 at two days
@@ -53,7 +54,7 @@ class TestScoreItems:
         t_now = 1_000_000
         train = train_with_profiles(3, [[(0, t_now), (1, t_now - 172800)]])
         sv = score_items(train, model, 0, t_now, Outraday(1.0))
-        assert sv.scores[2] == pytest.approx(0.75, abs=1e-15)
+        assert scores_dict(sv)[2] == pytest.approx(0.75, abs=1e-15)
 
     def test_profile_items_never_scored(self):
         rng = random.Random(11)
@@ -63,7 +64,7 @@ class TestScoreItems:
         t_now = probes.probes[u][1]
         sv = score_items(train, model, u, t_now, Constant())
         profile_items = {i for i, _t in train.profiles[u]}
-        assert not profile_items & set(sv.scores)
+        assert not profile_items & set(scores_dict(sv))
 
     def test_window_keeps_reachable_zero_score_candidates(self):
         dense = np.zeros((3, 3))
@@ -71,7 +72,7 @@ class TestScoreItems:
         model = model_from_dense(dense)
         train = train_with_profiles(3, [[(0, 100)]])
         sv = score_items(train, model, 0, 10**9, Window(10.0))
-        assert sv.scores == {1: 0.0}
+        assert scores_dict(sv) == {1: 0.0}
         assert top_n(sv, 5) == []
 
     def test_unknown_user_rejected(self):
@@ -112,7 +113,7 @@ class TestScoreItems:
                     train, dense, u, t_now, lambda age: eval_decay(spec, age)
                 )
                 for j, f in expected.items():
-                    assert abs(sv.scores.get(j, 0.0) - f) < 1e-12 * max(1.0, f)
+                    assert abs(scores_dict(sv).get(j, 0.0) - f) < 1e-12 * max(1.0, f)
 
     def test_zero_row_item_changes_nothing(self):
         dense = np.zeros((4, 4))
@@ -124,29 +125,29 @@ class TestScoreItems:
         train_b = train_with_profiles(5, [[(0, 100)]])
         sv_a = score_items(train_a, model_from_dense(dense), 0, 200, Constant())
         sv_b = score_items(train_b, model_from_dense(padded), 0, 200, Constant())
-        assert sv_a.scores == sv_b.scores
+        assert scores_dict(sv_a) == scores_dict(sv_b)
 
 
 class TestTopN:
     def test_basic_order(self):
-        sv = ScoreVector(0, 0, {7: 0.9, 3: 0.5, 9: 0.1})
+        sv = score_vector({7: 0.9, 3: 0.5, 9: 0.1})
         assert top_n(sv, 2) == [(7, 0.9), (3, 0.5)]
 
     def test_tie_breaks_to_lower_index(self):
-        sv = ScoreVector(0, 0, {4: 0.5, 2: 0.5})
+        sv = score_vector({4: 0.5, 2: 0.5})
         assert top_n(sv, 1) == [(2, 0.5)]
 
     def test_n_larger_than_candidates(self):
-        sv = ScoreVector(0, 0, {4: 0.5, 2: 0.1})
+        sv = score_vector({4: 0.5, 2: 0.1})
         assert [j for j, _ in top_n(sv, 10)] == [4, 2]
 
     def test_zero_scores_never_ranked(self):
-        sv = ScoreVector(0, 0, {4: 0.0, 2: 0.1})
+        sv = score_vector({4: 0.0, 2: 0.1})
         assert [j for j, _ in top_n(sv, 10)] == [2]
 
     def test_invalid_n(self):
         with pytest.raises(ValueError):
-            top_n(ScoreVector(0, 0, {}), 0)
+            top_n(score_vector({}), 0)
 
     def test_equals_full_sort_truncate(self):
         rng = random.Random(13)
@@ -155,7 +156,7 @@ class TestTopN:
                 j: rng.choice([0.0, rng.random(), 0.25])
                 for j in rng.sample(range(50), rng.randint(1, 30))
             }
-            sv = ScoreVector(0, 0, scores)
+            sv = score_vector(scores)
             for n in (1, 3, 10):
                 assert top_n(sv, n) == sort_truncate(scores, n)
 
@@ -163,9 +164,9 @@ class TestTopN:
         rng = random.Random(14)
         for _ in range(50):
             scores = {j: rng.random() for j in range(20)}
-            sv = ScoreVector(0, 0, scores)
+            sv = score_vector(scores)
             for c in (1e-6, 0.5, 3.0, 1e6):
-                scaled = ScoreVector(0, 0, {j: c * f for j, f in scores.items()})
+                scaled = score_vector({j: c * f for j, f in scores.items()})
                 assert [j for j, _ in top_n(sv, 10)] == [
                     j for j, _ in top_n(scaled, 10)
                 ]
@@ -202,7 +203,7 @@ class TestProbeRank:
                 j: rng.choice([0.0, rng.random(), 0.4])
                 for j in rng.sample(range(40), rng.randint(2, 25))
             }
-            sv = ScoreVector(0, 0, scores)
+            sv = score_vector(scores)
             probe = rng.choice(list(scores))
             rank = probe_rank(sv, probe)
             for n in (1, 2, 5, 10, 40):
@@ -210,7 +211,19 @@ class TestProbeRank:
                 assert in_list == (rank is not None and rank <= n)
 
     def test_missing_probe(self):
-        assert probe_rank(ScoreVector(0, 0, {1: 0.5}), 9) is None
+        assert probe_rank(score_vector({1: 0.5}), 9) is None
+
+    def test_nan_probe_score_is_unranked(self):
+        # row 0 holds s_01 = nan and s_02 = 0.4, and the transposed entries
+        matrix = sp.csr_matrix(
+            ([np.nan, 0.4, np.nan, 0.4], [1, 2, 0, 0], [0, 2, 3, 4]), shape=(3, 3)
+        )
+        model = SimilarityModel(matrix, np.zeros(3, dtype=np.int64), np.zeros(3))
+        train = train_with_profiles(3, [[(0, 100)]])
+        sv = score_items(train, model, 0, 500, Constant())
+        assert probe_rank(sv, 1) is None
+        assert probe_rank(sv, 2) == 1
+        assert top_n(sv, 5) == [(2, 0.4)]
 
 
 class TestIbcfEquivalence:

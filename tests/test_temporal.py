@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from driftcf.recommender import ScoreVector
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
     BinnedCurve,
@@ -22,6 +21,7 @@ from driftcf.temporal import (
     fit_piecewise_trend,
     log_bin_average,
 )
+from helpers import score_vector
 from oracles import dense_cosine, random_train, ssnr_full_loop
 
 
@@ -337,28 +337,28 @@ class TestTrendFit:
 
 class TestComputeFsnr:
     def test_uniform_scores(self):
-        sv = ScoreVector(0, 0, {5: 1.0, 6: 1.0, 7: 1.0})
+        sv = score_vector({5: 1.0, 6: 1.0, 7: 1.0})
         assert compute_fsnr(sv, 5) == pytest.approx(0.5, abs=1e-15)
 
     def test_zero_probe_score(self):
-        sv = ScoreVector(0, 0, {5: 0.0, 6: 1.0, 7: 2.0})
+        sv = score_vector({5: 0.0, 6: 1.0, 7: 2.0})
         assert compute_fsnr(sv, 5) == 0.0
 
     def test_permuting_non_probe_scores_is_invariant(self):
-        a = ScoreVector(0, 0, {1: 0.7, 2: 0.1, 3: 0.4, 4: 0.2})
-        b = ScoreVector(0, 0, {1: 0.7, 2: 0.4, 3: 0.2, 4: 0.1})
+        a = score_vector({1: 0.7, 2: 0.1, 3: 0.4, 4: 0.2})
+        b = score_vector({1: 0.7, 2: 0.4, 3: 0.2, 4: 0.1})
         assert compute_fsnr(a, 1) == compute_fsnr(b, 1)
 
     def test_probe_missing_rejected(self):
         with pytest.raises(ValueError):
-            compute_fsnr(ScoreVector(0, 0, {2: 1.0}), 5)
+            compute_fsnr(score_vector({2: 1.0}), 5)
 
     def test_degenerate_infinite(self):
         with pytest.raises(DegenerateRatioError) as exc:
-            compute_fsnr(ScoreVector(0, 0, {5: 1.0, 6: 0.0}), 5)
+            compute_fsnr(score_vector({5: 1.0, 6: 0.0}), 5)
         assert exc.value.kind == "degenerate_infinite"
 
     def test_undefined(self):
         with pytest.raises(DegenerateRatioError) as exc:
-            compute_fsnr(ScoreVector(0, 0, {5: 0.0, 6: 0.0}), 5)
+            compute_fsnr(score_vector({5: 0.0, 6: 0.0}), 5)
         assert exc.value.kind == "undefined"
