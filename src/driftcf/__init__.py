@@ -55,7 +55,7 @@ from .temporal import (
     BinnedCurve,
     CurveBin,
     DegenerateRatioError,
-    SsnrSample,
+    SsnrSamples,
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,

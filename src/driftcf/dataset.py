@@ -18,6 +18,9 @@ import json
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
+# Timestamps are held in int64 arrays downstream.
+MAX_TIMESTAMP = 2**63 - 1
+
 
 @dataclass(frozen=True)
 class RatingEvent:
@@ -30,8 +33,8 @@ class RatingEvent:
     def __post_init__(self) -> None:
         if not self.user or not self.item:
             raise ValueError("user and item identifiers must be non-empty")
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be nonnegative, got {self.timestamp}")
+        if not 0 <= self.timestamp <= MAX_TIMESTAMP:
+            raise ValueError(f"timestamp must be in [0, 2**63 - 1], got {self.timestamp}")
 
 
 @dataclass(frozen=True)
@@ -64,8 +67,8 @@ def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) 
     """Parse an event log stream into a RatingLog.
 
     Malformed lines (wrong field count, a timestamp that is not a string
-    of ASCII digits, empty identifiers) are skipped and counted, not
-    fatal.  I/O errors propagate.
+    of ASCII digits or exceeds 2**63 - 1, empty identifiers) are skipped
+    and counted, not fatal.  I/O errors propagate.
     """
     u_col = fmt.columns.index("user")
     i_col = fmt.columns.index("item")
@@ -83,7 +86,11 @@ def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) 
         if not user or not item or not (stamp.isascii() and stamp.isdigit()):
             skipped += 1
             continue
-        events.append(RatingEvent(user, item, int(stamp)))
+        timestamp = int(stamp)
+        if timestamp > MAX_TIMESTAMP:
+            skipped += 1
+            continue
+        events.append(RatingEvent(user, item, timestamp))
     return RatingLog(tuple(events), skipped)
 
 

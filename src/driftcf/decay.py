@@ -146,6 +146,14 @@ class Piecewise(_Spec):
         super().__post_init__()
         if self.t_s > self.t_l:
             raise ValueError(f"Ts must not exceed Tl, got Ts={self.t_s!r} Tl={self.t_l!r}")
+        # weights fall with age, so the largest one is at the age floor
+        with np.errstate(over="ignore", divide="ignore"):
+            peak = self.weight(np.array([PIECEWISE_AGE_FLOOR]))[0]
+        if not np.isfinite(peak):
+            raise ValueError(
+                f"the weight at the {PIECEWISE_AGE_FLOOR:g} s age floor overflows: "
+                f"Ts={self.t_s!r} Ks={self.k_s!r}"
+            )
 
     def weight(self, age: np.ndarray) -> np.ndarray:
         t = np.maximum(age, PIECEWISE_AGE_FLOOR)

@@ -145,9 +145,34 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
 
     Raises CacheFormatError for a malformed file: truncated or trailing
     bytes, records out of item order, a row whose column indices are not
-    strictly increasing and below the item count, or a similarity that is
-    not finite and positive.
+    strictly increasing and below the item count or that holds its own
+    item, a similarity that is not finite and positive, or a matrix that
+    is not bit for bit equal to its transpose.
     """
+    # the file buffer is freed on return, before the transpose below is built
+    counts, indptr, indices, data = _read_cache(path, dataset_hash)
+    n_items = len(counts)
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
+    matrix.sort_indices()
+    # ssnr collection reads s_ip from the probe's row, as s_pi
+    transposed = matrix.T.tocsr()
+    if not (
+        np.array_equal(transposed.indptr, matrix.indptr)
+        and np.array_equal(transposed.indices, matrix.indices)
+        and np.array_equal(transposed.data, matrix.data)
+    ):
+        raise CacheFormatError(f"{path}: similarity matrix is not symmetric")
+    del transposed
+    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+    return SimilarityModel(matrix, counts, sq)
+
+
+def _read_cache(
+    path: str, dataset_hash: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Validate a cache file record by record; returns the user counts and
+    the CSR indptr, indices and data it holds, copied out of the file
+    buffer in one pass."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_CACHE_MAGIC):
@@ -169,8 +194,7 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
 
     counts = np.zeros(n_items, dtype=np.int64)
     indptr = np.zeros(n_items + 1, dtype=np.int64)
-    all_idx: list[np.ndarray] = []
-    all_val: list[np.ndarray] = []
+    rows: list[np.ndarray] = []  # views into the file buffer
     for k in range(n_items):
         if off + _RECORD.size > len(blob):
             raise CacheFormatError(f"{path}: truncated cache at record {k}")
@@ -188,20 +212,19 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
                 f"{path}: record {k} column indices are not strictly increasing "
                 f"below {n_items}"
             )
+        if np.any(j == k):
+            raise CacheFormatError(f"{path}: record {k} holds a diagonal entry")
         # a nan similarity would make every probe it touches rank first
         if not np.all(np.isfinite(values) & (values > 0)):
             raise CacheFormatError(f"{path}: record {k} has a similarity not finite and > 0")
         counts[k] = user_count
         indptr[k + 1] = entry_count
-        all_idx.append(j.astype(np.int32))
-        all_val.append(values.astype(np.float64))
+        rows.append(entries)
     if off != len(blob):
         raise CacheFormatError(f"{path}: trailing bytes after last record")
 
     np.cumsum(indptr, out=indptr)
-    indices = np.concatenate(all_idx) if all_idx else np.zeros(0, dtype=np.int32)
-    data = np.concatenate(all_val) if all_val else np.zeros(0)
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
-    matrix.sort_indices()
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    return SimilarityModel(matrix, counts, sq)
+    rows = rows or [np.zeros(0, dtype=_ENTRY)]
+    indices = np.concatenate([r["j"] for r in rows], dtype=np.int32, casting="unsafe")
+    data = np.concatenate([r["s"] for r in rows], dtype=np.float64)
+    return counts, indptr, indices, data

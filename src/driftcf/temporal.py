@@ -13,13 +13,16 @@ a piecewise power-law trend fitted to that curve parameterizes the
 piecewise decay function.
 
 Sample collection is a pure read of the model and may run concurrently;
-binning and fitting are single-threaded reductions.
+binning and fitting are single-threaded reductions.  Samples are held as
+parallel arrays (``SsnrSamples``), and collection and binning are array
+passes over all ratings at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -55,12 +58,22 @@ class TrendFitError(ValueError):
     """No breakpoint candidate produced enough bins per segment."""
 
 
-@dataclass(frozen=True)
-class SsnrSample:
-    user: int
-    item: int
-    age: int
-    ssnr: float
+@dataclass(frozen=True, eq=False)
+class SsnrSamples:
+    """(ssnr, age) samples as four parallel arrays, one entry per sample.
+
+    ``users``, ``items`` and ``ages`` are int64 and ``ssnr`` is float64.
+    ``collect_ssnr_ages`` emits them by evaluated user ascending, then in
+    profile order.
+    """
+
+    users: np.ndarray
+    items: np.ndarray
+    ages: np.ndarray
+    ssnr: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ssnr)
 
 
 @dataclass(frozen=True)
@@ -102,87 +115,149 @@ class TrendFit:
     residual: float
 
 
+def _ssnr(
+    model: SimilarityModel, items: np.ndarray, s: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Signal-to-noise of each of ``items`` against its probe, given ``s``,
+    each item's similarity to that probe.
+
+    Uses the cached squared row sum minus the probe term; the diagonal is
+    never stored, so the j != item exclusion is automatic.  Returns
+    (values, infinite, isolated): the masks mark the entries whose
+    denominator vanished, "degenerate_infinite" when the numerator is
+    positive and "isolated" otherwise, and ``values`` holds the ratios of
+    the other entries, in order.
+    """
+    num = s * s
+    denom = model.row_sq_sums[items] - num
+    vanished = denom <= 0.0
+    infinite = vanished & (num > 0.0)
+    kept = ~vanished
+    return num[kept] / denom[kept], infinite, vanished & ~infinite
+
+
 def compute_ssnr(model: SimilarityModel, item: int, probe_item: int) -> float:
     """Signal-to-noise of ``item`` against ``probe_item``.
 
-    Uses the cached squared row sum minus the probe term; the diagonal is
-    never stored, so the j != item exclusion is automatic.  Raises
+    The one-pair case of ``collect_ssnr_ages``.  Raises
     DegenerateRatioError when the denominator vanishes.
     """
     if item == probe_item:
         raise ValueError("ssnr is undefined for the probe item itself")
-    s = model.value(item, probe_item)
-    num = s * s
-    denom = float(model.row_sq_sums[item]) - num
-    if denom <= 0.0:
-        if num > 0.0:
-            raise DegenerateRatioError(
-                "degenerate_infinite",
-                f"item {item}: probe is its only similar item",
-            )
+    s = np.array([model.value(item, probe_item)])
+    values, infinite, isolated = _ssnr(model, np.array([item]), s)
+    if infinite[0]:
+        raise DegenerateRatioError(
+            "degenerate_infinite",
+            f"item {item}: probe is its only similar item",
+        )
+    if isolated[0]:
         raise DegenerateRatioError(
             "isolated", f"item {item}: empty similarity row",
         )
-    return num / denom
+    return float(values[0])
 
 
 def collect_ssnr_ages(
     train: TrainSet, probes: ProbeSet, model: SimilarityModel
-) -> tuple[list[SsnrSample], dict[str, int]]:
+) -> tuple[SsnrSamples, dict[str, int]]:
     """(ssnr, age) pairs for every training rating of every evaluated user.
 
     A user with L ratings contributes L - 1 samples minus the degenerate
     ones, which are tallied by category instead of emitted.
     """
-    samples: list[SsnrSample] = []
-    exclusions = {"degenerate_infinite": 0, "isolated": 0}
-    for u in probes.evaluated_users:
-        probe_item, probe_time = probes.probes[u]
-        for item, ts in train.profiles[u]:
-            age = probe_time - ts
-            try:
-                value = compute_ssnr(model, item, probe_item)
-            except DegenerateRatioError as exc:
-                exclusions[exc.kind] += 1
-                continue
-            samples.append(SsnrSample(u, item, age, value))
-    return samples, exclusions
+    users = probes.evaluated_users
+    lengths = np.array([len(train.profiles[u]) for u in users], dtype=np.int64)
+    n = int(lengths.sum())
+    ratings = chain.from_iterable(chain.from_iterable(train.profiles[u] for u in users))
+    flat = np.fromiter(ratings, dtype=np.int64, count=2 * n).reshape(n, 2)
+    items, times = flat[:, 0], flat[:, 1]
+    probe_items, probe_times = np.array(
+        [probes.probes[u] for u in users], dtype=np.int64
+    ).reshape(-1, 2).T
+    if np.any(items == np.repeat(probe_items, lengths)):
+        raise ValueError("ssnr is undefined for the probe item itself")
+    ages = np.repeat(probe_times, lengths) - times
+
+    # s_ip == s_pi bit for bit (build_similarity scales both entries with one
+    # product and load_cache checks symmetry), so each user's similarities
+    # are read from one scatter of the probe's row.
+    s = np.empty(n)
+    dense = np.zeros(model.n_items)
+    ends = np.cumsum(lengths)
+    for p, lo, hi in zip(probe_items.tolist(), (ends - lengths).tolist(), ends.tolist()):
+        idx, val = model.row_arrays(p)
+        dense[idx] = val
+        s[lo:hi] = dense[items[lo:hi]]
+        dense[idx] = 0.0
+
+    values, infinite, isolated = _ssnr(model, items, s)
+    kept = ~(infinite | isolated)
+    user_col = np.repeat(np.array(users, dtype=np.int64), lengths)
+    samples = SsnrSamples(user_col[kept], items[kept], ages[kept], values)
+    return samples, {"degenerate_infinite": int(infinite.sum()), "isolated": int(isolated.sum())}
+
+
+# No int64 age reaches 2**63, so it stands for any bin edge at or above it.
+_AGE_CAP = 2**63
+
+
+def _first_age_at(edge: float) -> int:
+    """Smallest integer age at or above ``edge``, capped at 2**63."""
+    return math.ceil(edge) if edge < _AGE_CAP else _AGE_CAP
+
+
+def _bin_index(ages: np.ndarray, ratio: float, age_min: float) -> np.ndarray:
+    """Bin k of each age: age_min * ratio^k <= age < age_min * ratio^(k+1),
+    or 0 below ``age_min``.
+
+    A log estimate of k is corrected against the edges, first down while
+    the age is below bin k's lower edge, then up while it reaches the upper
+    one.  Ages are compared with each edge as integers, so the comparison
+    is exact over the whole int64 range.
+    """
+    ages = np.maximum(ages, 0).astype(np.uint64)
+
+    def lower_edges(ks: np.ndarray) -> np.ndarray:
+        distinct, slot = np.unique(ks, return_inverse=True)
+        firsts = [_first_age_at(age_min * ratio**k) for k in distinct.tolist()]
+        return np.array(firsts, dtype=np.uint64)[slot]
+
+    k = np.zeros(len(ages), dtype=np.int64)
+    (inside,) = np.nonzero(ages >= _first_age_at(age_min))
+    k[inside] = np.floor(np.log(ages[inside] / age_min) / math.log(ratio))
+    moving = inside
+    while moving.size:
+        moving = moving[ages[moving] < lower_edges(k[moving])]
+        k[moving] -= 1
+    moving = inside
+    while moving.size:
+        moving = moving[ages[moving] >= lower_edges(k[moving] + 1)]
+        k[moving] += 1
+    return k
 
 
 def log_bin_average(
-    samples: list[SsnrSample],
+    samples: SsnrSamples,
     ratio: float = DEFAULT_BIN_RATIO,
     age_min: float = DEFAULT_AGE_MIN,
 ) -> BinnedCurve:
     """Average ssnr over geometric age bins [age_min * ratio^k, ...).
 
     Ages below ``age_min`` (including zero) are clamped into bin 0.
-    Returns empty-bin-free bins in age order; an empty sample list yields
-    an empty curve.
+    Returns empty-bin-free bins in age order; no samples yield an empty
+    curve.  Each bin's sum adds its samples in input order.
     """
     if not ratio > 1:
         raise ValueError(f"bin ratio must exceed 1, got {ratio!r}")
-    if age_min < 1:
+    if not age_min >= 1:
         raise ValueError(f"age_min must be at least 1, got {age_min!r}")
-    log_ratio = math.log(ratio)
-    sums: dict[int, float] = {}
-    counts: dict[int, int] = {}
-    for sample in samples:
-        age = sample.age
-        if age < age_min:
-            k = 0
-        else:
-            k = int(math.floor(math.log(age / age_min) / log_ratio))
-            # guard the floor against floating-point edge error
-            while age < age_min * ratio**k:
-                k -= 1
-            while age >= age_min * ratio ** (k + 1):
-                k += 1
-        sums[k] = sums.get(k, 0.0) + sample.ssnr
-        counts[k] = counts.get(k, 0) + 1
+    ks, slot = np.unique(_bin_index(samples.ages, ratio, age_min), return_inverse=True)
+    sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))
+    counts = np.bincount(slot, minlength=len(ks))
     bins = tuple(
-        CurveBin(age_min * ratio**k, age_min * ratio ** (k + 1), sums[k] / counts[k], counts[k])
-        for k in sorted(sums)
+        CurveBin(age_min * ratio**k, age_min * ratio ** (k + 1), total / count, count)
+        for k, total, count in zip(ks.tolist(), sums.tolist(), counts.tolist())
     )
     return BinnedCurve(bins, ratio, age_min)
 
@@ -219,21 +294,30 @@ def fit_piecewise_trend(
     log_x = np.log(mids) if len(usable) else np.zeros(0)
     log_y = np.array([math.log(b.mean_ssnr) for b in usable])
 
+    # Each outer segment's fit depends on one breakpoint only, so it is
+    # made once per grid value, when a candidate first needs it.
+    longs = [log_x >= math.log(t_l) for t_l in tl_grid]
+    short_fits: dict[int, tuple[float, float]] = {}
+    long_fits: dict[int, tuple[float, float]] = {}
     best: tuple[float, float, float] | None = None
     best_fit: TrendFit | None = None
-    for t_s in ts_grid:
+    for a, t_s in enumerate(ts_grid):
         short = log_x < math.log(t_s) if len(usable) else np.zeros(0, bool)
-        for t_l in tl_grid:
+        for b, t_l in enumerate(tl_grid):
             if t_s > t_l:
                 continue
-            long = log_x >= math.log(t_l)
+            long = longs[b]
             plat = ~short & ~long
             if short.sum() < 2 or plat.sum() < 2 or long.sum() < 2:
                 continue
             log_c = float(np.mean(log_y[plat]))
             ssr_plat = float(np.sum((log_y[plat] - log_c) ** 2))
-            slope_s, ssr_s = _segment_fit(log_x[short], log_y[short])
-            slope_l, ssr_l = _segment_fit(log_x[long], log_y[long])
+            if a not in short_fits:
+                short_fits[a] = _segment_fit(log_x[short], log_y[short])
+            if b not in long_fits:
+                long_fits[b] = _segment_fit(log_x[long], log_y[long])
+            slope_s, ssr_s = short_fits[a]
+            slope_l, ssr_l = long_fits[b]
             residual = ssr_s + ssr_plat + ssr_l
             key = (residual, float(t_s), float(t_l))
             if best is None or key < best:

@@ -1,9 +1,12 @@
-"""Conversions between ScoreVector and {item: score} maps, for tests that
-state scores as a map."""
+"""Conversions between the library's array layouts and plain Python
+values, for tests that state scores as a map or ssnr samples as rows."""
+
+from typing import NamedTuple
 
 import numpy as np
 
 from driftcf.recommender import ScoreVector
+from driftcf.temporal import SsnrSamples
 
 
 def score_vector(scores: dict[int, float], user: int = 0, t_now: int = 0) -> ScoreVector:
@@ -17,3 +20,31 @@ def score_vector(scores: dict[int, float], user: int = 0, t_now: int = 0) -> Sco
 def scores_dict(sv: ScoreVector) -> dict[int, float]:
     """The candidate scores of ``sv`` as a map."""
     return {int(j): float(f) for j, f in zip(sv.items, sv.scores)}
+
+
+class SampleRow(NamedTuple):
+    """One ssnr sample as a row."""
+
+    user: int
+    item: int
+    age: int
+    ssnr: float
+
+
+def ssnr_samples(rows) -> SsnrSamples:
+    """SsnrSamples holding ``rows`` of (user, item, age, ssnr), in order."""
+    rows = list(rows)
+    return SsnrSamples(
+        np.array([r[0] for r in rows], dtype=np.int64),
+        np.array([r[1] for r in rows], dtype=np.int64),
+        np.array([r[2] for r in rows], dtype=np.int64),
+        np.array([r[3] for r in rows], dtype=float),
+    )
+
+
+def sample_rows(samples: SsnrSamples) -> list[SampleRow]:
+    """The samples of ``samples`` as rows, in order."""
+    return [
+        SampleRow(int(u), int(i), int(a), float(v))
+        for u, i, a, v in zip(samples.users, samples.items, samples.ages, samples.ssnr)
+    ]

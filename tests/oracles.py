@@ -2,12 +2,15 @@
 
 Everything here is deliberately naive: dense two-loop cosine from user
 sets, full-catalog loops for signal-to-noise ratios, triple-loop scoring,
-and full-sort ranking.  None of it shares code with the library paths it
+full-sort ranking, edge-scanning log-binning and a trend fit that refits
+every breakpoint candidate.  None of it shares code with the library paths it
 checks.
 """
 
 import math
 import random
+
+import numpy as np
 
 from driftcf.dataset import Dataset, RatingEvent, RatingLog, preprocess, split_leave_latest
 
@@ -141,3 +144,64 @@ def random_train(rng: random.Random, **kw):
         train, probes = split_leave_latest(dataset)
         if probes.probes and train.n_ratings > 0:
             return dataset, train, probes
+
+
+def scan_bins(rows, ratio, age_min):
+    """Log-binned curve by scanning bin edges upward from bin 0.
+
+    ``rows`` are (user, item, age, ssnr) tuples.  Ages are compared with the
+    edges as Python int against float, which is exact, and each bin's sum
+    adds its samples in input order.  Returns (age_lo, age_hi, mean, count)
+    per nonempty bin, in age order.
+    """
+    sums, counts = {}, {}
+    for _user, _item, age, ssnr in rows:
+        k = 0
+        if age >= age_min:
+            while age >= age_min * ratio ** (k + 1):
+                k += 1
+        sums[k] = sums.get(k, 0.0) + ssnr
+        counts[k] = counts.get(k, 0) + 1
+    return [
+        (age_min * ratio**k, age_min * ratio ** (k + 1), sums[k] / counts[k], counts[k])
+        for k in sorted(sums)
+    ]
+
+
+def fit_trend_grid_loop(curve, ts_grid, tl_grid):
+    """Piecewise trend fit refitting both outer segments for every
+    (t_s, t_l) candidate.  Returns the winning (t_s, t_l, k_s, k_l,
+    plateau, residual), or None when no candidate has 2 usable bins in
+    each segment.
+    """
+    def segment_fit(x, y):
+        slope, intercept = np.polyfit(x, y, 1)
+        resid = y - (slope * x + intercept)
+        return float(slope), float(np.dot(resid, resid))
+
+    usable = [b for b in curve.bins if b.mean_ssnr > 0]
+    log_x = np.log(np.array([math.sqrt(b.age_lo * b.age_hi) for b in usable]))
+    log_y = np.array([math.log(b.mean_ssnr) for b in usable])
+    best, best_fit = None, None
+    for t_s in ts_grid:
+        for t_l in tl_grid:
+            if t_s > t_l:
+                continue
+            short = log_x < math.log(t_s)
+            long = log_x >= math.log(t_l)
+            plat = ~short & ~long
+            if short.sum() < 2 or plat.sum() < 2 or long.sum() < 2:
+                continue
+            log_c = float(np.mean(log_y[plat]))
+            ssr_plat = float(np.sum((log_y[plat] - log_c) ** 2))
+            slope_s, ssr_s = segment_fit(log_x[short], log_y[short])
+            slope_l, ssr_l = segment_fit(log_x[long], log_y[long])
+            residual = ssr_s + ssr_plat + ssr_l
+            key = (residual, float(t_s), float(t_l))
+            if best is None or key < best:
+                best = key
+                best_fit = (
+                    float(t_s), float(t_l), max(0.0, -slope_s), max(0.0, -slope_l),
+                    math.exp(log_c), residual,
+                )
+    return best_fit

@@ -112,6 +112,21 @@ class TestAnalyzeSsnr:
         assert a.read_bytes() == b.read_bytes()
 
 
+    def test_timestamp_above_int64_skipped(self, small_log, tmp_path, capsys):
+        padded = tmp_path / "padded.tsv"
+        padded.write_text(small_log.read_text() + "u0001\ti0001\t99999999999999999999\n")
+        curves = []
+        for log in (small_log, padded):
+            curve = tmp_path / f"{log.stem}.csv"
+            code, _out, err = run(
+                capsys, "analyze-ssnr", "--in", str(log), "--curve-out", str(curve)
+            )
+            assert code == 0
+            curves.append(curve.read_bytes())
+        assert "skipped 1 malformed line" in err
+        assert curves[0] == curves[1]
+
+
 class TestFitTrend:
     def test_refit_from_curve_file(self, tmp_path, capsys):
         log = tmp_path / "log.tsv"
@@ -206,6 +221,15 @@ class TestEvaluate:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_overflowing_piecewise_rejected(self, small_log, capsys):
+        code, out, err = run(
+            capsys, "evaluate", "--in", str(small_log),
+            "--decay", "piecewise:Ts=1e300,Tl=1e300,Ks=2,Kl=0",
+        )
+        assert code == 1
+        assert out == ""
+        assert "overflows" in err and "Traceback" not in err
 
     def test_sim_cache_round_trip(self, small_log, tmp_path, capsys):
         cache = tmp_path / "sim.bin"

@@ -51,6 +51,15 @@ class TestParseEvents:
         assert log.events == (RatingEvent("u2", "a", 12),)
         assert log.skipped == 4
 
+    def test_timestamps_above_int64_skipped(self):
+        stamps = (str(2**63 - 1), str(2**63), "99999999999999999999")
+        text = "".join(f"u1\ta\t{t}\n" for t in stamps)
+        log = parse_events(io.StringIO(text))
+        assert log.events == (RatingEvent("u1", "a", 2**63 - 1),)
+        assert log.skipped == 2
+        with pytest.raises(ValueError):
+            RatingEvent("u1", "a", 2**63)
+
     def test_custom_format(self):
         fmt = LogFormat(delimiter=",", columns=("timestamp", "user", "item"))
         log = parse_events(io.StringIO("42,u1,x\n"), fmt)

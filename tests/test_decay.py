@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from driftcf import decay
@@ -178,6 +178,14 @@ class TestValidation:
         with pytest.raises(ValueError):
             Piecewise(1e7, 1e6, 0.5, 0.5)
 
+    def test_overflowing_peak_weight_rejected(self):
+        # the weight at the one-second age floor is Ts**Ks
+        with pytest.raises(ValueError, match="overflows"):
+            Piecewise(1e300, 1e300, 2.0, 0.0)
+        with pytest.raises(DecayParseError, match="overflows"):
+            parse_decay("piecewise:Ts=1e300,Tl=1e300,Ks=2,Kl=0")
+        assert math.isfinite(eval_decay(Piecewise(1e150, 1e300, 2.0, 0.0), 0))
+
     def test_extreme_ages_do_not_overflow(self):
         assert eval_decay(Logistic(1.0), 10**9) == 0.0
         assert eval_decay(Exponential(1.0), 10**9) == 0.0
@@ -199,8 +207,11 @@ def valid_specs(draw):
         f.name: float(format(draw(_BOUND_STRATEGIES[f.metadata["bound"]]), ".12g"))
         for f in dataclasses.fields(spec_class)
     }
-    if spec_class is Piecewise and values["t_s"] > values["t_l"]:
-        values["t_s"], values["t_l"] = values["t_l"], values["t_s"]
+    if spec_class is Piecewise:
+        if values["t_s"] > values["t_l"]:
+            values["t_s"], values["t_l"] = values["t_l"], values["t_s"]
+        # the peak weight, Ts**Ks at the one-second age floor, must be finite
+        assume(values["k_s"] * math.log(max(values["t_s"], 1.0)) < 709.0)
     return spec_class(**values)
 
 

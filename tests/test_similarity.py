@@ -241,6 +241,16 @@ def corrupt_cache(blob: bytes, kind: str) -> bytes:
     elif kind == "nan_similarity":
         off, _count = with_two
         struct.pack_into("<d", out, off + 16, float("nan"))
+    elif kind == "asymmetric_value":
+        off, _count = with_two
+        (s,) = struct.unpack_from("<d", out, off + 16)
+        struct.pack_into("<d", out, off + 16, s / 2)
+    elif kind == "diagonal_entry":
+        k, (off, count) = next((k, r) for k, r in enumerate(records) if r[1])
+        cols = [struct.unpack_from("<I", blob, off + 12 + 12 * e)[0] for e in range(count)]
+        at = off + 12 + 12 * sum(c < k for c in cols)
+        struct.pack_into("<I", out, off + 8, count + 1)
+        out[at:at] = struct.pack("<Id", k, 0.5)
     else:
         raise ValueError(kind)
     return bytes(out)
@@ -253,6 +263,8 @@ CORRUPTIONS = (
     "duplicate_column",
     "descending_columns",
     "nan_similarity",
+    "asymmetric_value",
+    "diagonal_entry",
 )
 
 

@@ -7,13 +7,15 @@ import statistics
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
     BinnedCurve,
     CurveBin,
     DegenerateRatioError,
-    SsnrSample,
+    TrendFit,
     TrendFitError,
     collect_ssnr_ages,
     compute_fsnr,
@@ -21,8 +23,8 @@ from driftcf.temporal import (
     fit_piecewise_trend,
     log_bin_average,
 )
-from helpers import score_vector
-from oracles import dense_cosine, random_train, ssnr_full_loop
+from helpers import SampleRow, sample_rows, score_vector, ssnr_samples
+from oracles import dense_cosine, fit_trend_grid_loop, random_train, scan_bins, ssnr_full_loop
 
 
 def model_from_dense(dense) -> SimilarityModel:
@@ -146,7 +148,7 @@ class TestCollect:
         model = build_similarity(train)
         samples, exclusions = collect_ssnr_ages(train, probes, model)
         u = two[0]
-        mine = [s for s in samples if s.user == u]
+        mine = [s for s in sample_rows(samples) if s.user == u]
         excluded_mine = 2 - len(mine)
         assert 0 <= excluded_mine <= 2
         assert len(mine) + excluded_mine == 2
@@ -165,9 +167,50 @@ class TestCollect:
         _ds, train, probes = random_train(rng)
         model = build_similarity(train)
         samples, _ = collect_ssnr_ages(train, probes, model)
-        for s in samples:
+        for s in sample_rows(samples):
             assert s.age >= 0
             assert s.ssnr >= 0.0
+
+    # Small catalogs give items whose only neighbour is the probe
+    # (degenerate-infinite) and items with an empty row (isolated).
+    EXCLUDING_SIZES = {"max_users": 8, "max_items": 6, "max_events": 30}
+
+    @staticmethod
+    def check_against_per_rating_loop(seed):
+        """collect_ssnr_ages equals one compute_ssnr call per rating, with ==;
+        returns the exclusion tallies."""
+        _ds, train, probes = random_train(random.Random(seed), **TestCollect.EXCLUDING_SIZES)
+        model = build_similarity(train)
+        rows, tallies = [], {"degenerate_infinite": 0, "isolated": 0}
+        for u in probes.evaluated_users:
+            probe_item, probe_time = probes.probes[u]
+            for item, ts in train.profiles[u]:
+                try:
+                    value = compute_ssnr(model, item, probe_item)
+                except DegenerateRatioError as exc:
+                    tallies[exc.kind] += 1
+                    continue
+                rows.append(SampleRow(u, item, probe_time - ts, value))
+        samples, exclusions = collect_ssnr_ages(train, probes, model)
+        assert [a.dtype for a in (samples.users, samples.items, samples.ages, samples.ssnr)] == [
+            np.int64, np.int64, np.int64, np.float64
+        ]
+        assert sample_rows(samples) == rows
+        assert exclusions == tallies
+        return tallies
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    @example(9)
+    def test_equals_per_rating_compute_ssnr(self, seed):
+        self.check_against_per_rating_loop(seed)
+
+    def test_oracle_instances_hit_both_exclusion_kinds(self):
+        totals = {"degenerate_infinite": 0, "isolated": 0}
+        for seed in range(80):
+            for kind, count in self.check_against_per_rating_loop(seed).items():
+                totals[kind] += count
+        assert totals["degenerate_infinite"] > 0 and totals["isolated"] > 0
 
 
 def naive_bins(samples, ratio, age_min):
@@ -186,7 +229,7 @@ def naive_bins(samples, ratio, age_min):
 
 class TestLogBinAverage:
     def test_single_sample(self):
-        curve = log_bin_average([SsnrSample(0, 0, 100, 0.5)], 10 ** 0.1, 1.0)
+        curve = log_bin_average(ssnr_samples([SampleRow(0, 0, 100, 0.5)]), 10 ** 0.1, 1.0)
         assert len(curve.bins) == 1
         b = curve.bins[0]
         assert b.mean_ssnr == 0.5
@@ -194,29 +237,29 @@ class TestLogBinAverage:
         assert b.age_lo <= 100 < b.age_hi
 
     def test_two_samples_one_bin_mean(self):
-        samples = [SsnrSample(0, 0, 100, 0.2), SsnrSample(0, 1, 101, 0.4)]
-        curve = log_bin_average(samples, 10.0, 1.0)
+        samples = [SampleRow(0, 0, 100, 0.2), SampleRow(0, 1, 101, 0.4)]
+        curve = log_bin_average(ssnr_samples(samples), 10.0, 1.0)
         assert len(curve.bins) == 1
         assert curve.bins[0].mean_ssnr == pytest.approx(0.3, abs=1e-15)
         assert curve.bins[0].count == 2
 
     def test_age_zero_clamped_into_first_bin(self):
-        samples = [SsnrSample(0, 0, 0, 1.0), SsnrSample(0, 1, 1, 3.0)]
-        curve = log_bin_average(samples, 10.0, 1.0)
+        samples = [SampleRow(0, 0, 0, 1.0), SampleRow(0, 1, 1, 3.0)]
+        curve = log_bin_average(ssnr_samples(samples), 10.0, 1.0)
         assert len(curve.bins) == 1
         assert curve.bins[0].mean_ssnr == pytest.approx(2.0)
 
     def test_empty_input(self):
-        curve = log_bin_average([])
+        curve = log_bin_average(ssnr_samples([]))
         assert curve.bins == ()
 
     def test_bins_are_geometric_and_ordered(self):
         rng = random.Random(5)
         samples = [
-            SsnrSample(0, k, rng.randrange(0, 10**7), rng.random())
+            SampleRow(0, k, rng.randrange(0, 10**7), rng.random())
             for k in range(500)
         ]
-        curve = log_bin_average(samples)
+        curve = log_bin_average(ssnr_samples(samples))
         for b in curve.bins:
             assert b.age_hi == pytest.approx(b.age_lo * curve.ratio, rel=1e-12)
         los = [b.age_lo for b in curve.bins]
@@ -225,11 +268,11 @@ class TestLogBinAverage:
     def test_matches_naive_grouping_oracle(self):
         rng = random.Random(6)
         samples = [
-            SsnrSample(0, k, rng.randrange(0, 10**8), rng.random() * 10)
+            SampleRow(0, k, rng.randrange(0, 10**8), rng.random() * 10)
             for k in range(1000)
         ]
         ratio, age_min = 10 ** 0.1, 1.0
-        curve = log_bin_average(samples, ratio, age_min)
+        curve = log_bin_average(ssnr_samples(samples), ratio, age_min)
         expected = naive_bins(samples, ratio, age_min)
         assert len(curve.bins) == len(expected)
         for b in curve.bins:
@@ -241,13 +284,43 @@ class TestLogBinAverage:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            log_bin_average([], ratio=1.0)
+            log_bin_average(ssnr_samples([]), ratio=1.0)
         with pytest.raises(ValueError):
-            log_bin_average([], age_min=0.5)
+            log_bin_average(ssnr_samples([]), age_min=0.5)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ratio=st.one_of(st.sampled_from([10 ** 0.1, 2.0, 1.5]), st.floats(1.01, 8.0)),
+        age_min=st.one_of(st.sampled_from([1.0, 3.0, 7.5]), st.floats(1.0, 1e4)),
+        top=st.integers(0, 60),
+        rng=st.randoms(use_true_random=False),
+    )
+    def test_matches_scan_oracle_at_every_edge(self, ratio, age_min, top, rng):
+        ages = [0, math.floor(age_min) - 1, math.floor(age_min)]
+        for k in range(top + 1):
+            edge = age_min * ratio**k
+            if edge >= 2**62:
+                break
+            ages += [math.floor(edge) - 1, math.floor(edge), math.ceil(edge), math.ceil(edge) + 1]
+        ages += [rng.randrange(10**9) for _ in range(20)]
+        rows = [SampleRow(0, n, max(age, 0), rng.random() * 10) for n, age in enumerate(ages)]
+        rng.shuffle(rows)
+        curve = log_bin_average(ssnr_samples(rows), ratio, age_min)
+        expected = [CurveBin(*b) for b in scan_bins(rows, ratio, age_min)]
+        assert list(curve.bins) == expected
+
+    @pytest.mark.parametrize("ratio", [2.0, 10 ** 0.1])
+    def test_ages_beyond_float_precision_binned_exactly(self, ratio):
+        # 2**63 - 1 rounds up to the float edge 2**63; as an integer it is below it
+        ages = [2**63 - 1, 2**63 - 2, 2**62, 2**62 - 1, 2**53 + 1, 2**53, 2**53 - 1]
+        rows = [SampleRow(0, n, age, float(n)) for n, age in enumerate(ages)]
+        curve = log_bin_average(ssnr_samples(rows), ratio, 1.0)
+        expected = [CurveBin(*b) for b in scan_bins(rows, ratio, 1.0)]
+        assert list(curve.bins) == expected
 
     def test_total_count(self):
-        samples = [SsnrSample(0, k, 10 * k + 1, 1.0) for k in range(50)]
-        assert log_bin_average(samples).total_count == 50
+        samples = [SampleRow(0, k, 10 * k + 1, 1.0) for k in range(50)]
+        assert log_bin_average(ssnr_samples(samples)).total_count == 50
 
 
 def synthetic_curve(t_s, t_l, k_s, k_l, level, age_lo=10.0, age_hi=1e9, per_decade=10):
@@ -333,6 +406,44 @@ class TestTrendFit:
         )
         fit = fit_piecewise_trend(spiked)
         assert fit.k_s > 0.0
+
+
+@st.composite
+def curves_and_grids(draw):
+    """A curve of 6 to 40 bins above 10 s, about one in ten of them
+    zero-mean, and breakpoint grids spanning parts of its age range."""
+    ratio = draw(st.floats(1.1, 3.0))
+    mean = st.tuples(st.integers(0, 9), st.floats(1e-6, 10.0)).map(
+        lambda p: 0.0 if p[0] == 0 else p[1]
+    )
+    means = draw(st.lists(mean, min_size=6, max_size=40))
+    edges = [10.0 * ratio**k for k in range(len(means) + 1)]
+    bins = tuple(CurveBin(lo, hi, m, 1) for lo, hi, m in zip(edges, edges[1:], means))
+
+    # t_s from edges a..c and t_l from edges b..d, so the ranges overlap
+    a, b, c, d = sorted(draw(st.lists(st.integers(0, len(means)), min_size=4, max_size=4)))
+    ts_grid = np.geomspace(edges[a], edges[c], draw(st.integers(1, 12)))
+    tl_grid = np.geomspace(edges[b], edges[d], draw(st.integers(1, 12)))
+    return BinnedCurve(bins, ratio, 10.0), ts_grid, tl_grid
+
+
+class TestMemoisedTrendFit:
+    @settings(max_examples=100, deadline=None)
+    @given(curves_and_grids())
+    def test_equals_unmemoised_grid_loop(self, case):
+        curve, ts_grid, tl_grid = case
+        expected = fit_trend_grid_loop(curve, ts_grid, tl_grid)
+        if expected is None:
+            with pytest.raises(TrendFitError):
+                fit_piecewise_trend(curve, ts_grid, tl_grid)
+        else:
+            assert fit_piecewise_trend(curve, ts_grid, tl_grid) == TrendFit(*expected)
+
+    def test_default_grid_equals_unmemoised_grid_loop(self):
+        curve = synthetic_curve(1e4, 1e6, 0.5, 0.4, 0.02)
+        ts_grid = np.geomspace(100, 1e5, 20)
+        tl_grid = np.geomspace(5e5, 5e7, 20)
+        assert fit_piecewise_trend(curve) == TrendFit(*fit_trend_grid_loop(curve, ts_grid, tl_grid))
 
 
 class TestComputeFsnr:
