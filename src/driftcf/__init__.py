@@ -41,7 +41,7 @@ from .evaluation import (
     hit_rate,
     prepare_evaluation,
 )
-from .recommender import ScoreVector, probe_rank, score_items, score_specs, top_n
+from .recommender import ScoreVector, probe_rank, probe_ranks, score_items, top_n
 from .similarity import (
     CacheFormatError,
     CacheMismatchError,

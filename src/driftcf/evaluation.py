@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import Dataset, ProbeSet, TrainSet, split_leave_latest
 from .decay import FAMILIES, DecaySpec, family_class, format_decay, sweep_ranges
-from .recommender import probe_rank, score_specs
+from .recommender import probe_ranks
 from .similarity import SimilarityModel, build_similarity
 
 
@@ -83,20 +83,19 @@ def _evaluate_specs(
     if not users:
         raise ValueError("no evaluable users: every profile has fewer than 2 ratings")
     started = time.perf_counter()
-    hits = [dict.fromkeys(depths, 0) for _ in specs]
+    depth_col = np.array(depths)[:, None]
+    hits = np.zeros((len(depths), len(specs)), dtype=np.int64)
     for u in users:
         probe_item, probe_time = probes.probes[u]
-        for spec_hits, scores in zip(hits, score_specs(train, model, u, probe_time, specs)):
-            rank = probe_rank(scores, probe_item)
-            for n in depths:
-                spec_hits[n] += rank is not None and rank <= n
+        ranks = probe_ranks(train, model, u, probe_time, probe_item, specs)
+        hits += (ranks > 0) & (ranks <= depth_col)
     elapsed = time.perf_counter() - started
     count = len(users)
     return [
         EvalReport(format_decay(spec), count, elapsed, [
-            DepthResult(n, h[n], h[n] / (count * n), h[n] / count) for n in depths
+            DepthResult(n, h, h / (count * n), h / count) for n, h in zip(depths, spec_hits)
         ])
-        for spec, h in zip(specs, hits)
+        for spec, spec_hits in zip(specs, hits.T.tolist())
     ]
 
 

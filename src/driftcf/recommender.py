@@ -7,15 +7,17 @@ A candidate item j is scored for user a at query time t_now by
 summed over the user's training profile.  Only items reachable through at
 least one nonzero similarity are candidates; unreachable items score
 exactly zero and are never ranked.  A profile's similarity rows do not
-depend on the decay, so ``score_specs`` scores many specs from one gather.
+depend on the decay, so ``probe_ranks`` ranks a probe under many specs
+from one gather.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from .dataset import TrainSet
 from .decay import DecaySpec
@@ -37,16 +39,14 @@ class ScoreVector:
     scores: np.ndarray
 
 
-def score_specs(
-    train: TrainSet,
-    model: SimilarityModel,
-    user: int,
-    t_now: int,
-    specs: Sequence[DecaySpec],
-) -> Iterator[ScoreVector]:
-    """One ScoreVector per spec, in order, from one validation and one gather
-    of the profile's similarity rows.  Raises ValueError for an unknown user,
-    an empty training profile, or a query time before one of its ratings.
+def _gather(
+    train: TrainSet, model: SimilarityModel, user: int, t_now: int
+) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
+    """Validate a query and gather its profile: the profile's item indices,
+    the ages of its ratings at ``t_now``, and the transposed similarity rows
+    (items x profile, one column per rating in profile order).  Raises
+    ValueError for an unknown user, an empty training profile, or a query
+    time before one of its ratings.
     """
     if not 0 <= user < train.n_users:
         raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
@@ -59,13 +59,7 @@ def score_specs(
 
     prof_items = np.array([item for item, _ts in profile])
     ages = np.array([t_now - ts for _item, ts in profile], dtype=float)
-    sub_t = model.matrix[prof_items].T
-    reachable = np.asarray(sub_t.getnnz(axis=1)).ravel() > 0
-    reachable[prof_items] = False
-    candidates = np.flatnonzero(reachable)
-    for spec in specs:
-        totals = sub_t.dot(spec.weight(ages))
-        yield ScoreVector(user, t_now, candidates, totals[candidates])
+    return prof_items, ages, model.matrix[prof_items].T
 
 
 def score_items(
@@ -75,9 +69,58 @@ def score_items(
     t_now: int,
     spec: DecaySpec,
 ) -> ScoreVector:
-    """Score all candidate items for ``user`` as of ``t_now`` under one spec;
-    raises ValueError as ``score_specs`` does."""
-    return next(score_specs(train, model, user, t_now, [spec]))
+    """Score all candidate items for ``user`` as of ``t_now`` under one spec.
+
+    Raises ValueError for an unknown user, an empty training profile, or a
+    query time before one of its ratings.
+    """
+    prof_items, ages, sub_t = _gather(train, model, user, t_now)
+    reachable = np.asarray(sub_t.getnnz(axis=1)).ravel() > 0
+    reachable[prof_items] = False
+    candidates = np.flatnonzero(reachable)
+    totals = sub_t.dot(spec.weight(ages))
+    return ScoreVector(user, t_now, candidates, totals[candidates])
+
+
+# Specs scored per product in probe_ranks; bounds the dense items x chunk
+# score block whatever the number of specs.
+SPEC_CHUNK = 64
+
+
+def probe_ranks(
+    train: TrainSet,
+    model: SimilarityModel,
+    user: int,
+    t_now: int,
+    probe_item: int,
+    specs: Sequence[DecaySpec],
+) -> np.ndarray:
+    """The probe's rank under each spec, as int64, 0 where it is unranked.
+
+    Equal to ``probe_rank(score_items(...))`` per spec, with None as 0: the
+    profile's similarity rows are gathered once and every spec is scored by
+    one (items x P) @ (P x specs) product per chunk of ``SPEC_CHUNK`` specs,
+    which adds each rating's column in profile order as ``score_items``
+    does, so the scores agree bit for bit.  A probe outside the item range
+    is unranked.  Raises ValueError as ``score_items`` does.
+    """
+    prof_items, ages, sub_t = _gather(train, model, user, t_now)
+    ranks = np.zeros(len(specs), dtype=np.int64)
+    if not 0 <= probe_item < model.n_items:
+        return ranks
+    for lo in range(0, len(specs), SPEC_CHUNK):
+        chunk = specs[lo:lo + SPEC_CHUNK]
+        weights = np.empty((len(ages), len(chunk)))
+        for k, spec in enumerate(chunk):
+            weights[:, k] = spec.weight(ages)
+        scores = sub_t @ weights
+        # the user's own items are never candidates; unreachable ones score 0
+        scores[prof_items] = 0.0
+        p = scores[probe_item]
+        ahead = np.count_nonzero(scores > p, axis=0)
+        ahead += np.count_nonzero(scores[:probe_item] == p, axis=0)
+        ranks[lo:lo + len(chunk)] = np.where(p > 0, ahead + 1, 0)
+    return ranks
 
 
 def top_n(score_vector: ScoreVector, n: int) -> list[tuple[int, float]]:

@@ -31,6 +31,11 @@ _HEADER = struct.Struct("<6sH32sI")  # magic, version, training-set SHA-256, ite
 _RECORD = struct.Struct("<III")  # item index, user count, entry count
 _ENTRY = np.dtype([("j", "<u4"), ("s", "<f8")])  # column index, similarity
 
+# build_similarity rounds s_ij = c_ij * (1/sqrt(n_i) * 1/sqrt(n_j)) in six
+# steps, so two items rated by the same users can get 1 + 2**-52; the
+# largest similarity load_cache accepts covers every rounding of those steps.
+MAX_SIMILARITY = 1 + 4 * 2.0**-52
+
 
 class CacheFormatError(ValueError):
     """Raised when a similarity cache file is malformed."""
@@ -146,11 +151,12 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     Raises CacheFormatError for a malformed file: truncated or trailing
     bytes, records out of item order, a row whose column indices are not
     strictly increasing and below the item count or that holds its own
-    item, a similarity that is not finite and positive, or a matrix that
-    is not bit for bit equal to its transpose.
+    item, a similarity that is not finite and positive or that exceeds 1
+    by more than rounding (``MAX_SIMILARITY``), or a matrix that is not bit
+    for bit equal to its transpose.
     """
-    # the file buffer is freed on return, before the transpose below is built
     counts, indptr, indices, data = _read_cache(path, dataset_hash)
+    _check_entries(path, indptr, indices, data)
     n_items = len(counts)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
     matrix.sort_indices()
@@ -170,9 +176,11 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
 def _read_cache(
     path: str, dataset_hash: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Validate a cache file record by record; returns the user counts and
-    the CSR indptr, indices and data it holds, copied out of the file
-    buffer in one pass."""
+    """Walk a cache file's header and records, checking item order and
+    truncation; returns the user counts and the CSR indptr, indices and data
+    it holds, copied out of the file buffer, which is freed on return.  The
+    entries themselves are left to ``_check_entries``.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if not blob.startswith(_CACHE_MAGIC):
@@ -204,22 +212,10 @@ def _read_cache(
             raise CacheFormatError(f"{path}: record {k} carries item index {i}")
         if off + entry_count * _ENTRY.itemsize > len(blob):
             raise CacheFormatError(f"{path}: truncated cache in record {k}")
-        entries = np.frombuffer(blob, dtype=_ENTRY, count=entry_count, offset=off)
-        off += entries.nbytes
-        j, values = entries["j"], entries["s"]
-        if entry_count and (j[-1] >= n_items or np.any(j[1:] <= j[:-1])):
-            raise CacheFormatError(
-                f"{path}: record {k} column indices are not strictly increasing "
-                f"below {n_items}"
-            )
-        if np.any(j == k):
-            raise CacheFormatError(f"{path}: record {k} holds a diagonal entry")
-        # a nan similarity would make every probe it touches rank first
-        if not np.all(np.isfinite(values) & (values > 0)):
-            raise CacheFormatError(f"{path}: record {k} has a similarity not finite and > 0")
+        rows.append(np.frombuffer(blob, dtype=_ENTRY, count=entry_count, offset=off))
+        off += entry_count * _ENTRY.itemsize
         counts[k] = user_count
         indptr[k + 1] = entry_count
-        rows.append(entries)
     if off != len(blob):
         raise CacheFormatError(f"{path}: trailing bytes after last record")
 
@@ -228,3 +224,32 @@ def _read_cache(
     indices = np.concatenate([r["j"] for r in rows], dtype=np.int32, casting="unsafe")
     data = np.concatenate([r["s"] for r in rows], dtype=np.float64)
     return counts, indptr, indices, data
+
+
+def _check_entries(path: str, indptr: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:
+    """Check every cache entry at once; a CacheFormatError names the first
+    failing record and, within it, the first failing check in the order
+    column order, diagonal, value."""
+    n_items = len(indptr) - 1
+    starts = indptr[:-1]
+    not_increasing = np.zeros(len(j), dtype=bool)
+    np.less_equal(j[1:], j[:-1], out=not_increasing[1:])
+    not_increasing[starts[starts < len(j)]] = False  # a record's first entry
+    row_of = np.repeat(np.arange(n_items, dtype=j.dtype), np.diff(indptr))
+    checks = (
+        # a column index of 2**31 or more reads as negative here
+        (not_increasing | (j < 0) | (j >= n_items),
+         f"column indices are not strictly increasing below {n_items}"),
+        (j == row_of, "holds a diagonal entry"),
+        # a nan similarity would make every probe it touches rank first
+        (~(np.isfinite(s) & (s > 0)), "has a similarity not finite and > 0"),
+        (s > MAX_SIMILARITY, "has a similarity above 1"),
+    )
+    failures = [
+        (int(np.searchsorted(indptr, np.argmax(bad), side="right")) - 1, order, message)
+        for order, (bad, message) in enumerate(checks)
+        if bad.any()
+    ]
+    if failures:
+        k, _order, message = min(failures)
+        raise CacheFormatError(f"{path}: record {k} {message}")

@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from driftcf.dataset import RatingEvent, RatingLog, preprocess
@@ -15,6 +16,7 @@ from driftcf.evaluation import (
     hit_rate,
     prepare_evaluation,
 )
+from driftcf.recommender import SPEC_CHUNK
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from oracles import pipeline_hits, random_dataset
 
@@ -135,6 +137,11 @@ class TestEvaluate:
         )
         with pytest.raises(ValueError):
             evaluate(ds, Constant(), [10])
+
+    def test_duplicate_depths_count_once(self):
+        ds = dataset_where_probe_always_wins()
+        report = evaluate(ds, Constant(), [1, 1])
+        assert [(r.n, r.hits, r.hit_rate) for r in report.results] == [(1, 10, 1.0)] * 2
 
     def test_report_lookup(self):
         report = EvalReport("constant", 3, 0.0, [])
@@ -273,3 +280,20 @@ class TestGridSweep:
         ds = dataset_where_probe_always_wins()
         with pytest.raises(ValueError):
             grid_sweep(ds, ParamGrid({}))
+
+    def test_rows_across_spec_chunks_match_evaluate_split(self):
+        ds = preprocess(generate_synthetic(SyntheticConfig(
+            users=30, items=80, events=900, topics=5, seed=9,
+        )))
+        # two full chunks of specs and one more
+        grid = ParamGrid({
+            "window": {"t_w": [float(x) for x in np.geomspace(1e2, 1e8, SPEC_CHUNK)]},
+            "exp": {"t_e": [float(x) for x in np.geomspace(1.0, 1e8, SPEC_CHUNK + 1)]},
+        })
+        assert grid.size() == 2 * SPEC_CHUNK + 1
+        result = grid_sweep(ds, grid)
+        train, probes, model = prepare_evaluation(ds)
+        for row in result.rows:
+            report = evaluate_split(train, probes, model, row["spec"])
+            assert row["hits"] == {r.n: r.hits for r in report.results}
+        assert len({tuple(row["hits"].values()) for row in result.rows}) > 1

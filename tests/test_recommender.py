@@ -5,10 +5,20 @@ import random
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcf.dataset import Dataset
-from driftcf.decay import Constant, Outraday, Piecewise, Window, eval_decay
-from driftcf.recommender import probe_rank, score_items, top_n
+from driftcf.decay import (
+    Constant,
+    Exponential,
+    Logistic,
+    Outraday,
+    Piecewise,
+    Window,
+    eval_decay,
+)
+from driftcf.recommender import probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
 from helpers import score_vector, scores_dict
 from oracles import (
@@ -242,3 +252,99 @@ class TestIbcfEquivalence:
                 assert [j for j, _ in got] == [j for j, _ in expected]
                 for (_, fa), (_, fb) in zip(got, expected):
                     assert abs(fa - fb) < 1e-12 * max(1.0, fb)
+
+
+# One spec per family; Window points below the profile's ages weigh every
+# rating zero, so reachable candidates score exactly 0.
+spec_strategy = st.one_of(
+    st.just(Constant()),
+    st.floats(1.0, 2e6).map(Window),
+    st.builds(Logistic, st.floats(1.0, 1e7), st.floats(-10.0, 10.0)),
+    st.floats(1.0, 1e7).map(Exponential),
+    st.floats(0.0, 3.0).map(Outraday),
+    st.builds(
+        lambda ts, factor, ks, kl: Piecewise(ts, ts * factor, ks, kl),
+        st.floats(1.0, 1e6), st.floats(1.0, 100.0), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+    ),
+)
+
+
+def reference_ranks(train, model, user, t_now, probe, specs):
+    """probe_rank over score_items, one spec at a time, None as 0."""
+    return [probe_rank(score_items(train, model, user, t_now, spec), probe) or 0 for spec in specs]
+
+
+def assert_ranks_match(train, model, user, t_now, probes, specs):
+    for probe in probes:
+        got = probe_ranks(train, model, user, t_now, probe, specs)
+        assert got.dtype == np.int64
+        assert got.tolist() == reference_ranks(train, model, user, t_now, probe, specs)
+
+
+class TestProbeRanks:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        specs=st.lists(spec_strategy, min_size=1, max_size=8),
+        later=st.integers(0, 10**7),
+    )
+    def test_equals_probe_rank_of_score_items(self, seed, specs, later):
+        _ds, train, _probes = random_train(random.Random(seed))
+        model = build_similarity(train)
+        for u, profile in enumerate(train.profiles):
+            if not profile:
+                continue
+            t_now = max(ts for _item, ts in profile) + later
+            # every item, the profile's own among them, and the two indices
+            # just outside the item range
+            assert_ranks_match(train, model, u, t_now, range(-1, train.n_items + 1), specs)
+
+    def test_nan_and_negative_similarities(self):
+        dense = np.zeros((6, 6))
+        dense[0, 1] = dense[1, 0] = np.nan
+        dense[0, 2] = dense[2, 0] = -0.3
+        dense[0, 3] = dense[3, 0] = 0.2
+        dense[4, 3] = dense[3, 4] = 0.6
+        dense[4, 5] = dense[5, 4] = 0.2
+        dense[4, 2] = dense[2, 4] = 0.5
+        matrix = sp.csr_matrix(dense)
+        model = SimilarityModel(matrix, np.zeros(6, dtype=np.int64), np.zeros(6))
+        train = train_with_profiles(6, [[(0, 100), (4, 5000)], [(4, 10)]])
+        specs = [Constant(), Window(1000.0), Exponential(3000.0), Piecewise(10.0, 2000.0, 1.0, 0.5)]
+        for user in (0, 1):
+            for t_now in (5000, 6000, 10**6):
+                assert_ranks_match(train, model, user, t_now, range(-1, 7), specs)
+        # the nan reaches item 1 under every spec: never ranked
+        assert probe_ranks(train, model, 0, 5000, 1, specs).tolist() == [0, 0, 0, 0]
+
+    def test_exact_ties_break_to_lower_index(self):
+        dense = np.full((6, 6), 0.5)
+        model = model_from_dense(dense)
+        train = train_with_profiles(6, [[(2, 100)]])
+        specs = [Constant()]
+        assert_ranks_match(train, model, 0, 500, range(-1, 7), specs)
+        # items 0, 1, 3, 4, 5 tie; item 2 is the profile
+        ranks = [probe_ranks(train, model, 0, 500, j, specs)[0] for j in range(6)]
+        assert ranks == [1, 2, 0, 3, 4, 5]
+
+    @pytest.mark.parametrize("probe", [-1, 3, 4, 2**40])
+    def test_probe_outside_item_range_is_unranked(self, probe):
+        # without the range check, -1 would read item 3, the only candidate
+        dense = np.zeros((4, 4))
+        dense[0, 3] = dense[3, 0] = 0.4
+        model = model_from_dense(dense)
+        train = train_with_profiles(4, [[(0, 100)]])
+        expected = [1] if probe == 3 else [0]
+        assert probe_ranks(train, model, 0, 500, probe, [Constant()]).tolist() == expected
+
+    def test_raises_the_errors_of_score_items(self):
+        dense = np.zeros((2, 2))
+        dense[0, 1] = dense[1, 0] = 0.4
+        model = model_from_dense(dense)
+        train = train_with_profiles(2, [[(0, 100)], []])
+        for user, t_now in ((3, 500), (1, 500), (0, 99)):
+            with pytest.raises(ValueError) as scored:
+                score_items(train, model, user, t_now, Constant())
+            with pytest.raises(ValueError) as ranked:
+                probe_ranks(train, model, user, t_now, 1, [Constant()])
+            assert str(ranked.value) == str(scored.value)

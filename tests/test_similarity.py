@@ -189,6 +189,18 @@ class TestCache:
         with pytest.raises(CacheFormatError):
             load_cache(str(path), "0" * 64)
 
+    def test_rounding_above_one_loads(self, tmp_path):
+        # three shared raters: 3 * (1/sqrt(3) * 1/sqrt(3)) rounds to 1 + 2**-52
+        train = train_of(*((u, i, t) for t, (u, i) in enumerate(
+            (u, i) for u in ("u1", "u2", "u3") for i in ("a", "b")
+        )))
+        model = build_similarity(train)
+        assert model.value(train.item_index["a"], train.item_index["b"]) == 1 + 2.0**-52
+        path = str(tmp_path / "sim.bin")
+        save_cache(model, path, train.content_hash())
+        loaded = load_cache(path, train.content_hash())
+        assert (loaded.matrix != model.matrix).nnz == 0
+
     def test_truncated_file_rejected(self, tmp_path):
         train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
         model = build_similarity(train)
@@ -245,6 +257,14 @@ def corrupt_cache(blob: bytes, kind: str) -> bytes:
         off, _count = with_two
         (s,) = struct.unpack_from("<d", out, off + 16)
         struct.pack_into("<d", out, off + 16, s / 2)
+    elif kind == "similarity_above_one":
+        off, _count = with_two
+        k = records.index(with_two)
+        (j,) = struct.unpack_from("<I", out, off + 12)
+        mirror_off, mirror_count = records[j]
+        cols = [struct.unpack_from("<I", out, mirror_off + 12 + 12 * e)[0] for e in range(mirror_count)]
+        struct.pack_into("<d", out, off + 16, 1.5)
+        struct.pack_into("<d", out, mirror_off + 16 + 12 * cols.index(k), 1.5)
     elif kind == "diagonal_entry":
         k, (off, count) = next((k, r) for k, r in enumerate(records) if r[1])
         cols = [struct.unpack_from("<I", blob, off + 12 + 12 * e)[0] for e in range(count)]
@@ -264,6 +284,7 @@ CORRUPTIONS = (
     "descending_columns",
     "nan_similarity",
     "asymmetric_value",
+    "similarity_above_one",
     "diagonal_entry",
 )
 
@@ -320,6 +341,28 @@ class TestCorruptCache:
         path.write_bytes(blob[:10])
         with pytest.raises(CacheFormatError):
             load_cache(str(path), digest)
+
+    @pytest.mark.parametrize("kind, entry, defect", [
+        ("descending_columns", -1, "column indices are not strictly increasing"),
+        ("nan_similarity", 0, "has a similarity not finite and > 0"),
+        ("nan_similarity", -1, "has a similarity not finite and > 0"),
+        ("similarity_above_one", 0, "has a similarity above 1"),
+    ])
+    def test_error_names_the_failing_record(self, cli_cache, tmp_path, kind, entry, defect):
+        _log, blob = cli_cache
+        records = cache_records(blob)
+        k = next(k for k in range(len(records) // 2, len(records)) if records[k][1] >= 2)
+        off, count = records[k]
+        at = off + 12 + 12 * (entry % count)  # the record's first or last entry
+        out = bytearray(blob)
+        if kind == "descending_columns":
+            out[at - 12:at - 8], out[at:at + 4] = out[at:at + 4], out[at - 12:at - 8]
+        else:
+            struct.pack_into("<d", out, at + 4, float("nan") if kind == "nan_similarity" else 1.5)
+        path = tmp_path / "bad.bin"
+        path.write_bytes(bytes(out))
+        with pytest.raises(CacheFormatError, match=f"record {k} {defect}"):
+            load_cache(str(path), blob[8:40].hex())
 
     @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
