@@ -11,9 +11,7 @@ from .dataset import (
     Dataset,
     LogFormat,
     ProbeSet,
-    RatingEvent,
     RatingLog,
-    TrainSet,
     parse_events,
     preprocess,
     split_leave_latest,
@@ -59,7 +57,6 @@ from .temporal import (
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,
-    compute_fsnr,
     compute_ssnr,
     fit_piecewise_trend,
     log_bin_average,

@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import json
+import math
 import os
 import sys
 from typing import Sequence
@@ -49,7 +50,6 @@ from .temporal import (
     DEFAULT_TS_GRID_RANGE,
     BinnedCurve,
     CurveBin,
-    TrendFit,
     collect_ssnr_ages,
     fit_piecewise_trend,
     log_bin_average,
@@ -59,6 +59,12 @@ from .temporal import (
 SWEEP_PARAM_COLUMNS = tuple(
     dict.fromkeys(f.name for cls in FAMILIES.values() for f in dataclasses.fields(cls))
 )
+
+
+# One synth flag per scalar generator setting, in SyntheticConfig order.
+SYNTH_FLAGS = {
+    f.name: f.default for f in dataclasses.fields(SyntheticConfig) if f.name != "session_gap"
+}
 
 
 def _fmt(x: float) -> str:
@@ -140,29 +146,37 @@ def _curve_csv(curve: BinnedCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _curve_bin(line: str) -> CurveBin:
+    lo_text, hi_text, mean_text, count_text = line.split(",")
+    lo, hi, mean, count = float(lo_text), float(hi_text), float(mean_text), int(count_text)
+    if not 0 < lo < math.inf:
+        raise ValueError(f"age_lo must be finite and > 0, got {lo!r}")
+    if not lo < hi < math.inf:
+        raise ValueError(f"age_hi must be finite and > age_lo, got {hi!r}")
+    if not 0 < lo * hi < math.inf:  # the trend fit reads a bin at sqrt(age_lo * age_hi)
+        raise ValueError(f"age_lo * age_hi must be finite and > 0, got {lo * hi!r}")
+    if not 0 <= mean < math.inf:
+        raise ValueError(f"mean_ssnr must be finite and >= 0, got {mean!r}")
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    return CurveBin(lo, hi, mean, count)
+
+
 def _read_curve_csv(path: str) -> BinnedCurve:
+    """The bins of a curve CSV; a ValueError names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if not lines or lines[0] != "age_lo,age_hi,mean_ssnr,count":
+        lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
+    if not lines or lines[0][1] != "age_lo,age_hi,mean_ssnr,count":
         raise ValueError(f"{path}: expected header 'age_lo,age_hi,mean_ssnr,count'")
     bins = []
-    for line in lines[1:]:
-        lo, hi, mean, count = line.split(",")
-        bins.append(CurveBin(float(lo), float(hi), float(mean), int(count)))
+    for n, line in lines[1:]:
+        try:
+            bins.append(_curve_bin(line))
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {n}: {exc}") from None
     if not bins:
         raise ValueError(f"{path}: curve has no bins")
     return BinnedCurve(tuple(bins), bins[0].age_hi / bins[0].age_lo, bins[0].age_lo)
-
-
-def _trend_json(fit: TrendFit) -> dict:
-    return {
-        "t_s": fit.t_s,
-        "t_l": fit.t_l,
-        "k_s": fit.k_s,
-        "k_l": fit.k_l,
-        "plateau": fit.plateau,
-        "residual": fit.residual,
-    }
 
 
 def _model_for(train, cache_path: str | None):
@@ -178,26 +192,14 @@ def _model_for(train, cache_path: str | None):
 
 
 def _cmd_synth(args) -> int:
-    config = SyntheticConfig(
-        users=args.users,
-        items=args.items,
-        events=args.events,
-        topics=args.topics,
-        drift_switches=args.drift_switches,
-        session_prob=args.session_prob,
-        session_explore=args.session_explore,
-        session_length=args.session_length,
-        noise_prob=args.noise_prob,
-        horizon=args.horizon,
-        seed=args.seed,
-    )
+    config = SyntheticConfig(**{name: getattr(args, name) for name in SYNTH_FLAGS})
     if args.zero_drift:
         config = config.zero_drift()
     log = generate_synthetic(config)
     buf = io.StringIO()
     write_events(log, buf)
     _emit(args.out, buf.getvalue())
-    print(f"note: generated {len(log.events)} events", file=sys.stderr)
+    print(f"note: generated {len(log)} events", file=sys.stderr)
     return 0
 
 
@@ -223,7 +225,7 @@ def _cmd_analyze_ssnr(args) -> int:
     _emit(args.curve_out, _curve_csv(curve))
     if args.trend_out:
         fit = fit_piecewise_trend(curve)
-        _emit(args.trend_out, _json_text(_trend_json(fit)))
+        _emit(args.trend_out, _json_text(dataclasses.asdict(fit)))
     return 0
 
 
@@ -232,7 +234,7 @@ def _cmd_fit_trend(args) -> int:
     ts_grid = np.geomspace(*args.ts_range, args.grid_points)
     tl_grid = np.geomspace(*args.tl_range, args.grid_points)
     fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
-    _emit(args.out, _json_text(_trend_json(fit)))
+    _emit(args.out, _json_text(dataclasses.asdict(fit)))
     return 0
 
 
@@ -277,6 +279,11 @@ def _sweep_csv(rows: list[dict], n_list: list[int]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _best_json(row: dict) -> dict:
+    hit_rate = {str(n): v for n, v in row["hit_rate"].items()}
+    return {"decay": row["decay"], "params": row["params"], "hit_rate": hit_rate}
+
+
 def _cmd_sweep(args) -> int:
     dataset = _load_dataset(args.input)
     families = [f.strip() for f in args.family.split(",") if f.strip()]
@@ -290,19 +297,9 @@ def _cmd_sweep(args) -> int:
     if args.best_out:
         best = {
             "objective_n": result.objective_n,
-            "best": {
-                "family": result.best_row["family"],
-                "decay": result.best_row["decay"],
-                "params": result.best_row["params"],
-                "hit_rate": {str(n): v for n, v in result.best_row["hit_rate"].items()},
-            },
+            "best": {"family": result.best_row["family"], **_best_json(result.best_row)},
             "per_family": {
-                family: {
-                    "decay": row["decay"],
-                    "params": row["params"],
-                    "hit_rate": {str(n): v for n, v in row["hit_rate"].items()},
-                }
-                for family, row in sorted(result.best_per_family().items())
+                family: _best_json(row) for family, row in sorted(result.best_per_family().items())
             },
         }
         _emit(args.best_out, _json_text(best))
@@ -323,18 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic event log")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default="-", help="output TSV path (default stdout)")
-    p.add_argument("--users", type=int, default=SyntheticConfig.users)
-    p.add_argument("--items", type=int, default=SyntheticConfig.items)
-    p.add_argument("--events", type=int, default=SyntheticConfig.events)
-    p.add_argument("--topics", type=int, default=SyntheticConfig.topics)
-    p.add_argument("--drift-switches", type=int, default=SyntheticConfig.drift_switches)
-    p.add_argument("--session-prob", type=float, default=SyntheticConfig.session_prob)
-    p.add_argument("--session-explore", type=float, default=SyntheticConfig.session_explore)
-    p.add_argument("--session-length", type=int, default=SyntheticConfig.session_length)
-    p.add_argument("--noise-prob", type=float, default=SyntheticConfig.noise_prob)
-    p.add_argument("--horizon", type=int, default=SyntheticConfig.horizon)
+    for name, default in SYNTH_FLAGS.items():
+        p.add_argument("--" + name.replace("_", "-"), type=type(default), default=default)
     p.add_argument(
         "--zero-drift",
         action="store_true",

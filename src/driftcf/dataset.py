@@ -1,10 +1,11 @@
 """Event log parsing, preprocessing, and the leave-the-latest-out split.
 
 The raw input is a line-oriented log of (user, item, timestamp) triples
-carrying binary implicit feedback.  Preprocessing collapses duplicate
-(user, item) pairs to their earliest timestamp and removes items saved by
-fewer than two distinct users (they share no users with anything else and
-cannot contribute to similarities), iterating until stable.  The split
+carrying binary implicit feedback, parsed into columns (``RatingLog``).
+Preprocessing collapses duplicate (user, item) pairs to their earliest
+timestamp, removes items saved by fewer than two distinct users (they
+share no users with anything else and cannot contribute to similarities)
+and indexes the rest into one CSR-style layout (``Dataset``).  The split
 holds out each user's chronologically latest rating as a probe.
 
 All values produced here are read-only after construction and safe for
@@ -16,36 +17,54 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import IO, Iterable
 
-# Timestamps are held in int64 arrays downstream.
+import numpy as np
+
+# Timestamps are held in int64 arrays.
 MAX_TIMESTAMP = 2**63 - 1
 
 
-@dataclass(frozen=True)
-class RatingEvent:
-    """One implicit rating: ``user`` saved ``item`` at ``timestamp`` (s)."""
-
-    user: str
-    item: str
-    timestamp: int
-
-    def __post_init__(self) -> None:
-        if not self.user or not self.item:
-            raise ValueError("user and item identifiers must be non-empty")
-        if not 0 <= self.timestamp <= MAX_TIMESTAMP:
-            raise ValueError(f"timestamp must be in [0, 2**63 - 1], got {self.timestamp}")
+def _read_only(values, shape_tail: tuple[int, ...] = ()) -> np.ndarray:
+    array = np.ascontiguousarray(values, dtype=np.int64)
+    if array.shape[1:] != shape_tail:
+        raise ValueError(f"expected {1 + len(shape_tail)}-d int64 rows, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingLog:
-    """Ordered raw events; duplicates permitted until preprocessing.
+    """Raw events as parallel columns; duplicates permitted until
+    preprocessing.  Event k: ``users[k]`` saved ``items[k]`` at
+    ``timestamps[k]`` (s, int64).  ``skipped`` counts malformed lines
+    dropped while parsing.
 
-    ``skipped`` counts malformed lines dropped while parsing.
+    Raises ValueError unless the columns have equal lengths, every
+    identifier is non-empty and every timestamp is in [0, 2**63 - 1].
     """
 
-    events: tuple[RatingEvent, ...]
+    users: list[str]
+    items: list[str]
+    timestamps: np.ndarray
     skipped: int = 0
+
+    def __post_init__(self) -> None:
+        try:
+            stamps = _read_only(self.timestamps)
+        except OverflowError:
+            raise ValueError("timestamps must be in [0, 2**63 - 1]") from None
+        if not len(self.users) == len(self.items) == len(stamps):
+            raise ValueError("users, items and timestamps must have equal lengths")
+        if not (all(self.users) and all(self.items)):
+            raise ValueError("user and item identifiers must be non-empty")
+        if len(stamps) and stamps.min() < 0:
+            raise ValueError(f"timestamps must be in [0, 2**63 - 1], got {stamps.min()}")
+        object.__setattr__(self, "timestamps", stamps)
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
 
 
 @dataclass(frozen=True)
@@ -73,55 +92,59 @@ def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) 
     u_col = fmt.columns.index("user")
     i_col = fmt.columns.index("item")
     t_col = fmt.columns.index("timestamp")
-    events: list[RatingEvent] = []
+    users: list[str] = []
+    items: list[str] = []
+    stamps: list[int] = []
     skipped = 0
     for line in stream:
-        line = line.rstrip("\r\n")
-        fields = line.split(fmt.delimiter)
+        fields = line.rstrip("\r\n").split(fmt.delimiter)
         if len(fields) != 3:
             skipped += 1
             continue
         user, item, stamp = fields[u_col], fields[i_col], fields[t_col]
-        # int() alone would also take "+12", " 12", "1_000" and non-ASCII digits
-        if not user or not item or not (stamp.isascii() and stamp.isdigit()):
+        # int() alone would also take "+12", " 12", "1_000" and non-ASCII
+        # digits; a digit string of at most 18 characters is below 2**63
+        if not (user and item and stamp.isascii() and stamp.isdigit()) or (
+            len(stamp) > 18 and int(stamp) > MAX_TIMESTAMP
+        ):
             skipped += 1
             continue
-        timestamp = int(stamp)
-        if timestamp > MAX_TIMESTAMP:
-            skipped += 1
-            continue
-        events.append(RatingEvent(user, item, timestamp))
-    return RatingLog(tuple(events), skipped)
+        users.append(user)
+        items.append(item)
+        stamps.append(int(stamp))
+    return RatingLog(users, items, np.array(stamps, dtype=np.int64), skipped)
 
 
 def write_events(log: RatingLog, fh: IO[str], fmt: LogFormat = LogFormat()) -> None:
     """Serialize a RatingLog in the given line format."""
-    order = {name: pos for pos, name in enumerate(fmt.columns)}
-    for ev in log.events:
-        fields = [""] * 3
-        fields[order["user"]] = ev.user
-        fields[order["item"]] = ev.item
-        fields[order["timestamp"]] = str(ev.timestamp)
-        fh.write(fmt.delimiter.join(fields) + "\n")
+    columns = {"user": log.users, "item": log.items, "timestamp": map(str, log.timestamps.tolist())}
+    rows = zip(*(columns[name] for name in fmt.columns))
+    fh.writelines(fmt.delimiter.join(row) + "\n" for row in rows)
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """Indexed, preprocessed ratings.
+    """Indexed, preprocessed ratings in one CSR-style layout.
 
-    ``profiles[u]`` lists user u's ratings as (item index, timestamp)
-    pairs sorted by timestamp ascending, ties broken by item index
-    ascending.  Dense indices are assigned in sorted order of the external
-    identifiers, so identical inputs always produce identical indexing.
+    User u's ratings are rows ``indptr[u]`` to ``indptr[u + 1]`` of the
+    (n_ratings, 2) int64 array ``ratings``, whose columns are the item
+    index and the timestamp, sorted by timestamp ascending, ties broken by
+    item index ascending.  Dense indices are assigned in sorted order of
+    the external identifiers, so identical inputs always produce identical
+    indexing.  A training set has the same layout, restricted to non-probe
+    ratings; excluded users keep an empty profile under the same index.
     """
 
     user_ids: list[str]
     item_ids: list[str]
-    profiles: list[list[tuple[int, int]]]
+    indptr: np.ndarray
+    ratings: np.ndarray
     user_index: dict[str, int] = field(init=False, repr=False)
     item_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        self.indptr = _read_only(self.indptr)
+        self.ratings = _read_only(self.ratings, (2,))
         self.user_index = {u: k for k, u in enumerate(self.user_ids)}
         self.item_index = {i: k for k, i in enumerate(self.item_ids)}
 
@@ -135,7 +158,14 @@ class Dataset:
 
     @property
     def n_ratings(self) -> int:
-        return sum(len(p) for p in self.profiles)
+        return int(self.indptr[-1])
+
+    @cached_property
+    def profiles(self) -> tuple[np.ndarray, ...]:
+        """User u's ratings as a read-only (n, 2) view of ``ratings``;
+        iterating one yields (item index, timestamp) rows."""
+        bounds = self.indptr.tolist()
+        return tuple(self.ratings[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
     @property
     def sparsity(self) -> float:
@@ -149,21 +179,18 @@ class Dataset:
             "items": self.n_items,
             "ratings": self.n_ratings,
             "sparsity": self.sparsity,
-            "excluded_users": sum(1 for p in self.profiles if len(p) == 1),
+            "excluded_users": int(np.count_nonzero(np.diff(self.indptr) == 1)),
         }
 
     def content_hash(self) -> str:
-        """SHA-256 over a canonical serialization; keys similarity caches."""
-        payload = json.dumps(
-            [self.user_ids, self.item_ids, self.profiles],
-            separators=(",", ":"),
-        ).encode("utf-8")
-        return hashlib.sha256(payload).hexdigest()
-
-
-# A training set has the same shape as a Dataset, restricted to non-probe
-# ratings; excluded users keep an empty profile under the same index.
-TrainSet = Dataset
+        """SHA-256 over the ids as JSON, then the little-endian bytes of
+        ``indptr`` and ``ratings``; keys similarity caches."""
+        digest = hashlib.sha256(
+            json.dumps([self.user_ids, self.item_ids], separators=(",", ":")).encode("utf-8")
+        )
+        digest.update(self.indptr.astype("<i8").tobytes())
+        digest.update(self.ratings.astype("<i8").tobytes())
+        return digest.hexdigest()
 
 
 @dataclass
@@ -182,65 +209,60 @@ class ProbeSet:
         return sorted(self.probes)
 
 
+def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """The sorted distinct ids, and each entry's index among them."""
+    distinct = sorted(set(ids))
+    index = dict(zip(distinct, range(len(distinct))))
+    return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
+
+
 def preprocess(log: RatingLog) -> Dataset:
     """Deduplicate, filter single-user items, and index an event log.
 
     Duplicate (user, item) pairs collapse to the earliest timestamp.
     Items rated by fewer than two distinct users are removed, then users
-    left with empty profiles, repeating until stable.  An empty Dataset is
-    a legal result.  Idempotent up to index relabeling.
+    left with empty profiles.  One pass reaches the fixed point: dropping
+    an item never changes another item's count of distinct users.  An
+    empty Dataset is a legal result.  Idempotent up to index relabeling.
     """
-    earliest: dict[tuple[str, str], int] = {}
-    for ev in log.events:
-        key = (ev.user, ev.item)
-        known = earliest.get(key)
-        if known is None or ev.timestamp < known:
-            earliest[key] = ev.timestamp
-
-    user_items: dict[str, set[str]] = {}
-    item_users: dict[str, set[str]] = {}
-    for (user, item) in earliest:
-        user_items.setdefault(user, set()).add(item)
-        item_users.setdefault(item, set()).add(user)
-
-    while True:
-        weak = [i for i, users in item_users.items() if len(users) < 2]
-        if not weak:
-            break
-        for item in weak:
-            for user in item_users.pop(item):
-                user_items[user].discard(item)
-        for user in [u for u, items in user_items.items() if not items]:
-            del user_items[user]
-
-    user_ids = sorted(user_items)
-    item_ids = sorted(item_users)
-    item_idx = {i: k for k, i in enumerate(item_ids)}
-    profiles = []
-    for user in user_ids:
-        prof = [(item_idx[i], earliest[(user, i)]) for i in user_items[user]]
-        prof.sort(key=lambda r: (r[1], r[0]))
-        profiles.append(prof)
-    return Dataset(user_ids, item_ids, profiles)
+    user_ids, users = _codes(log.users)
+    item_ids, items = _codes(log.items)
+    # each (user, item) run in this order starts with its earliest rating
+    order = np.lexsort((log.timestamps, items, users))
+    users, items, stamps = users[order], items[order], log.timestamps[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = (users[1:] != users[:-1]) | (items[1:] != items[:-1])
+    kept_items = np.bincount(items[first], minlength=len(item_ids)) >= 2
+    keep = first & kept_items[items]
+    users, items, stamps = users[keep], items[keep], stamps[keep]
+    kept_users = np.bincount(users, minlength=len(user_ids)) > 0
+    # kept ids stay in sorted order, so a rank among them is the new index
+    users = (np.cumsum(kept_users) - 1)[users]
+    items = (np.cumsum(kept_items) - 1)[items]
+    order = np.lexsort((items, stamps, users))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(users, minlength=kept_users.sum()))))
+    return Dataset(
+        [user_ids[k] for k in np.flatnonzero(kept_users).tolist()],
+        [item_ids[k] for k in np.flatnonzero(kept_items).tolist()],
+        indptr,
+        np.column_stack((items[order], stamps[order])),
+    )
 
 
-def split_leave_latest(dataset: Dataset) -> tuple[TrainSet, ProbeSet]:
+def split_leave_latest(dataset: Dataset) -> tuple[Dataset, ProbeSet]:
     """Hold out each user's latest rating as the probe, all at once.
 
-    The latest rating is the last entry of the (timestamp, item index)
+    The latest rating is the last row of the (timestamp, item index)
     sorted profile, so timestamp ties resolve to the higher item index.
     Users with one rating are excluded entirely.
     """
-    probes: dict[int, tuple[int, int]] = {}
-    excluded: list[int] = []
-    train_profiles: list[list[tuple[int, int]]] = []
-    for u, prof in enumerate(dataset.profiles):
-        if len(prof) >= 2:
-            item, ts = prof[-1]
-            probes[u] = (item, ts)
-            train_profiles.append(list(prof[:-1]))
-        else:
-            excluded.append(u)
-            train_profiles.append([])
-    train = Dataset(list(dataset.user_ids), list(dataset.item_ids), train_profiles)
-    return train, ProbeSet(probes, excluded)
+    lengths = np.diff(dataset.indptr)
+    last = dataset.indptr[1:] - 1
+    evaluated = np.flatnonzero(lengths >= 2)
+    probe_rows = dataset.ratings[last[evaluated]].tolist()
+    probes = dict(zip(evaluated.tolist(), map(tuple, probe_rows)))
+    keep = np.ones(dataset.n_ratings, dtype=bool)
+    keep[last[lengths > 0]] = False
+    indptr = np.concatenate(([0], np.cumsum(np.maximum(lengths - 1, 0))))
+    train = Dataset(dataset.user_ids, dataset.item_ids, indptr, dataset.ratings[keep])
+    return train, ProbeSet(probes, np.flatnonzero(lengths < 2).tolist())

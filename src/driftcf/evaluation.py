@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dataset import Dataset, ProbeSet, TrainSet, split_leave_latest
+from .dataset import Dataset, ProbeSet, split_leave_latest
 from .decay import FAMILIES, DecaySpec, family_class, format_decay, sweep_ranges
 from .recommender import probe_ranks
 from .similarity import SimilarityModel, build_similarity
@@ -60,7 +60,7 @@ def hit_rate(flags: Sequence[bool], n: int) -> float:
     return sum(flags) / (len(flags) * n)
 
 
-def prepare_evaluation(dataset: Dataset) -> tuple[TrainSet, ProbeSet, SimilarityModel]:
+def prepare_evaluation(dataset: Dataset) -> tuple[Dataset, ProbeSet, SimilarityModel]:
     """One global split and one similarity model, shared by all users."""
     train, probes = split_leave_latest(dataset)
     model = build_similarity(train)
@@ -68,7 +68,7 @@ def prepare_evaluation(dataset: Dataset) -> tuple[TrainSet, ProbeSet, Similarity
 
 
 def _evaluate_specs(
-    train: TrainSet,
+    train: Dataset,
     probes: ProbeSet,
     model: SimilarityModel,
     specs: Sequence[DecaySpec],
@@ -100,7 +100,7 @@ def _evaluate_specs(
 
 
 def evaluate_split(
-    train: TrainSet,
+    train: Dataset,
     probes: ProbeSet,
     model: SimilarityModel,
     spec: DecaySpec,

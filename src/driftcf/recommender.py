@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 import scipy.sparse as sp
 
-from .dataset import TrainSet
+from .dataset import MAX_TIMESTAMP, Dataset
 from .decay import DecaySpec
 from .similarity import SimilarityModel
 
@@ -40,30 +40,42 @@ class ScoreVector:
 
 
 def _gather(
-    train: TrainSet, model: SimilarityModel, user: int, t_now: int
+    train: Dataset, model: SimilarityModel, user: int, t_now: int
 ) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
     """Validate a query and gather its profile: the profile's item indices,
     the ages of its ratings at ``t_now``, and the transposed similarity rows
-    (items x profile, one column per rating in profile order).  Raises
-    ValueError for an unknown user, an empty training profile, or a query
-    time before one of its ratings.
+    (items x profile, one column per rating in profile order), whose arrays
+    are this thread's ``model.scratch`` buffers, overwritten by the next
+    call.  Raises ValueError for an unknown user, an empty training profile,
+    or a query time before one of its ratings or above 2**63 - 1.
     """
     if not 0 <= user < train.n_users:
         raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
-    profile = train.profiles[user]
-    if not profile:
+    profile = train.ratings[train.indptr[user]:train.indptr[user + 1]]
+    if not len(profile):
         raise ValueError(f"user {user} has an empty training profile")
-    latest = max(ts for _item, ts in profile)
+    latest = int(profile[:, 1].max())
     if t_now < latest:
         raise ValueError(f"query time {t_now} precedes a rating of user {user} at {latest}")
-
-    prof_items = np.array([item for item, _ts in profile])
-    ages = np.array([t_now - ts for _item, ts in profile], dtype=float)
-    return prof_items, ages, model.matrix[prof_items].T
+    if t_now > MAX_TIMESTAMP:
+        raise ValueError(f"query time {t_now} exceeds 2**63 - 1")
+    prof_items = profile[:, 0]
+    ages = (t_now - profile[:, 1]).astype(float)
+    m = model.matrix
+    lo, hi = m.indptr[prof_items].tolist(), m.indptr[prof_items + 1].tolist()
+    sub_t = sp.csc_matrix((m.shape[1], len(lo)))
+    sub_t.indptr = np.cumsum([0, *np.subtract(hi, lo)], dtype=np.intp)
+    n = int(sub_t.indptr[-1])
+    scratch = model.scratch
+    if not hasattr(scratch, "data") or len(scratch.data) < n:
+        scratch.indices, scratch.data = np.empty(2 * n, np.intp), np.empty(2 * n)
+    sub_t.indices = np.concatenate([m.indices[a:b] for a, b in zip(lo, hi)], out=scratch.indices[:n])
+    sub_t.data = np.concatenate([m.data[a:b] for a, b in zip(lo, hi)], out=scratch.data[:n])
+    return prof_items, ages, sub_t
 
 
 def score_items(
-    train: TrainSet,
+    train: Dataset,
     model: SimilarityModel,
     user: int,
     t_now: int,
@@ -72,7 +84,7 @@ def score_items(
     """Score all candidate items for ``user`` as of ``t_now`` under one spec.
 
     Raises ValueError for an unknown user, an empty training profile, or a
-    query time before one of its ratings.
+    query time before one of its ratings or above 2**63 - 1.
     """
     prof_items, ages, sub_t = _gather(train, model, user, t_now)
     reachable = np.asarray(sub_t.getnnz(axis=1)).ravel() > 0
@@ -88,7 +100,7 @@ SPEC_CHUNK = 64
 
 
 def probe_ranks(
-    train: TrainSet,
+    train: Dataset,
     model: SimilarityModel,
     user: int,
     t_now: int,

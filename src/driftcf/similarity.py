@@ -9,23 +9,25 @@ denominators sum over entire rows.
 
 Co-rating counts are accumulated through user profiles (cost proportional
 to the sum of squared profile lengths), realized as the sparse product
-R^T R of the binary user-item matrix.  The finished model is immutable
+R^T R of the binary user-item matrix, whose CSR arrays are the training
+set's own ``indptr`` and item column.  The finished model is immutable
 and safe for concurrent reads.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
 
 from .atomic import atomic_open
-from .dataset import TrainSet
+from .dataset import Dataset
 
 _CACHE_MAGIC = b"DCFSIM"
-_CACHE_VERSION = 1
+_CACHE_VERSION = 2
 # Cache layout, little-endian; save_cache and load_cache both read it here.
 _HEADER = struct.Struct("<6sH32sI")  # magic, version, training-set SHA-256, item count
 _RECORD = struct.Struct("<III")  # item index, user count, entry count
@@ -57,6 +59,10 @@ class SimilarityModel:
     matrix: sp.csr_matrix
     user_counts: np.ndarray
     row_sq_sums: np.ndarray
+    # Per-thread row-gather buffers that scoring reuses from one query to the
+    # next: a fresh block per query faults in every page it touches whenever
+    # the allocator maps it anew, as glibc does above its mmap threshold.
+    scratch: threading.local = field(default_factory=threading.local, init=False, repr=False)
 
     @property
     def n_items(self) -> int:
@@ -92,19 +98,13 @@ class SimilarityModel:
         return self.matrix.nnz
 
 
-def build_similarity(train: TrainSet) -> SimilarityModel:
+def build_similarity(train: Dataset) -> SimilarityModel:
     """Build the item-item cosine model from a training set."""
     if train.n_ratings == 0:
         raise ValueError("cannot build similarity model from an empty training set")
     n_items = train.n_items
-    rows: list[int] = []
-    cols: list[int] = []
-    for u, prof in enumerate(train.profiles):
-        for item, _ts in prof:
-            rows.append(u)
-            cols.append(item)
     ratings = sp.csr_matrix(
-        (np.ones(len(rows)), (rows, cols)),
+        (np.ones(train.n_ratings), train.ratings[:, 0], train.indptr),
         shape=(train.n_users, n_items),
     )
     counts = np.asarray(ratings.getnnz(axis=0), dtype=np.int64)
@@ -120,9 +120,16 @@ def build_similarity(train: TrainSet) -> SimilarityModel:
     matrix = sp.csr_matrix((data, (r, c)), shape=(n_items, n_items))
     matrix.sum_duplicates()
     matrix.sort_indices()
+    return SimilarityModel(matrix, counts, _row_sq_sums(matrix))
 
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    return SimilarityModel(matrix, counts, sq)
+
+def _row_sq_sums(matrix: sp.csr_matrix) -> np.ndarray:
+    """Each row's sum of squared entries, added in stored order; exactly 0
+    for an empty row, where reduceat alone gives the next row's first."""
+    sums = np.zeros(matrix.shape[0])
+    nonempty = np.diff(matrix.indptr) > 0
+    sums[nonempty] = np.add.reduceat(matrix.data * matrix.data, matrix.indptr[:-1][nonempty])
+    return sums
 
 
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:
@@ -169,8 +176,7 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     ):
         raise CacheFormatError(f"{path}: similarity matrix is not symmetric")
     del transposed
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    return SimilarityModel(matrix, counts, sq)
+    return SimilarityModel(matrix, counts, _row_sq_sums(matrix))
 
 
 def _read_cache(

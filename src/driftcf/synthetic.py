@@ -17,7 +17,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .dataset import RatingEvent, RatingLog
+from .dataset import RatingLog
 
 
 @dataclass(frozen=True)
@@ -157,7 +157,5 @@ def generate_synthetic(config: SyntheticConfig) -> RatingLog:
                 raw_events.append((t, u, item))
 
     raw_events.sort()
-    events = tuple(
-        RatingEvent(f"u{u:04d}", f"b{i:05d}", t) for t, u, i in raw_events
-    )
-    return RatingLog(events)
+    stamps, users, items = zip(*raw_events)
+    return RatingLog([f"u{u:04d}" for u in users], [f"b{i:05d}" for i in items], stamps)

@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
-from .dataset import ProbeSet, TrainSet
+from .dataset import Dataset, ProbeSet
 from .decay import Piecewise, sweep_ranges
-from .recommender import ScoreVector
 from .similarity import SimilarityModel
 
 DEFAULT_BIN_RATIO = 10 ** 0.1  # ten bins per decade
@@ -45,8 +43,7 @@ class DegenerateRatioError(ValueError):
     """A signal-to-noise ratio whose denominator vanished.
 
     ``kind`` is "degenerate_infinite" (zero denominator, positive
-    numerator), "isolated" (item with an empty similarity row), or
-    "undefined" (all scores zero).
+    numerator) or "isolated" (item with an empty similarity row).
     """
 
     def __init__(self, kind: str, message: str):
@@ -159,21 +156,21 @@ def compute_ssnr(model: SimilarityModel, item: int, probe_item: int) -> float:
 
 
 def collect_ssnr_ages(
-    train: TrainSet, probes: ProbeSet, model: SimilarityModel
+    train: Dataset, probes: ProbeSet, model: SimilarityModel
 ) -> tuple[SsnrSamples, dict[str, int]]:
     """(ssnr, age) pairs for every training rating of every evaluated user.
 
     A user with L ratings contributes L - 1 samples minus the degenerate
     ones, which are tallied by category instead of emitted.
     """
-    users = probes.evaluated_users
-    lengths = np.array([len(train.profiles[u]) for u in users], dtype=np.int64)
-    n = int(lengths.sum())
-    ratings = chain.from_iterable(chain.from_iterable(train.profiles[u] for u in users))
-    flat = np.fromiter(ratings, dtype=np.int64, count=2 * n).reshape(n, 2)
-    items, times = flat[:, 0], flat[:, 1]
+    users = np.array(probes.evaluated_users, dtype=np.int64)
+    lengths = np.diff(train.indptr)[users]
+    evaluated = np.zeros(train.n_users, dtype=bool)
+    evaluated[users] = True
+    # users ascend, so their rows are the evaluated users' rows in order
+    items, times = train.ratings[np.repeat(evaluated, np.diff(train.indptr))].T
     probe_items, probe_times = np.array(
-        [probes.probes[u] for u in users], dtype=np.int64
+        [probes.probes[u] for u in users.tolist()], dtype=np.int64
     ).reshape(-1, 2).T
     if np.any(items == np.repeat(probe_items, lengths)):
         raise ValueError("ssnr is undefined for the probe item itself")
@@ -182,7 +179,7 @@ def collect_ssnr_ages(
     # s_ip == s_pi bit for bit (build_similarity scales both entries with one
     # product and load_cache checks symmetry), so each user's similarities
     # are read from one scatter of the probe's row.
-    s = np.empty(n)
+    s = np.empty(len(items))
     dense = np.zeros(model.n_items)
     ends = np.cumsum(lengths)
     for p, lo, hi in zip(probe_items.tolist(), (ends - lengths).tolist(), ends.tolist()):
@@ -193,7 +190,7 @@ def collect_ssnr_ages(
 
     values, infinite, isolated = _ssnr(model, items, s)
     kept = ~(infinite | isolated)
-    user_col = np.repeat(np.array(users, dtype=np.int64), lengths)
+    user_col = np.repeat(users, lengths)
     samples = SsnrSamples(user_col[kept], items[kept], ages[kept], values)
     return samples, {"degenerate_infinite": int(infinite.sum()), "isolated": int(isolated.sum())}
 
@@ -248,10 +245,10 @@ def log_bin_average(
     Returns empty-bin-free bins in age order; no samples yield an empty
     curve.  Each bin's sum adds its samples in input order.
     """
-    if not ratio > 1:
-        raise ValueError(f"bin ratio must exceed 1, got {ratio!r}")
-    if not age_min >= 1:
-        raise ValueError(f"age_min must be at least 1, got {age_min!r}")
+    if not 1 < ratio < math.inf:
+        raise ValueError(f"bin ratio must be finite and exceed 1, got {ratio!r}")
+    if not 1 <= age_min < math.inf:
+        raise ValueError(f"age_min must be finite and at least 1, got {age_min!r}")
     ks, slot = np.unique(_bin_index(samples.ages, ratio, age_min), return_inverse=True)
     sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))
     counts = np.bincount(slot, minlength=len(ks))
@@ -337,25 +334,3 @@ def fit_piecewise_trend(
         )
     return best_fit
 
-
-def compute_fsnr(scores: ScoreVector, probe_item: int) -> float:
-    """Signal-to-noise of the final prediction scores; diagnostic only.
-
-    Requires the probe to be among the scored candidates.  Raises
-    DegenerateRatioError when the non-probe scores (or all scores) vanish.
-    The noise sum is exactly rounded, so their order does not matter.
-    """
-    probe = scores.items == probe_item
-    if not probe.any():
-        raise ValueError(f"probe item {probe_item} is not among the scored candidates")
-    signal = float(scores.scores[probe][0])
-    num = signal * signal
-    noise = scores.scores[~probe]
-    denom = math.fsum(noise * noise)
-    if denom == 0.0:
-        if num > 0.0:
-            raise DegenerateRatioError(
-                "degenerate_infinite", "all non-probe scores are zero"
-            )
-        raise DegenerateRatioError("undefined", "all scores are zero")
-    return num / denom

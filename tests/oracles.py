@@ -12,7 +12,8 @@ import random
 
 import numpy as np
 
-from driftcf.dataset import Dataset, RatingEvent, RatingLog, preprocess, split_leave_latest
+from driftcf.dataset import Dataset, RatingLog, preprocess, split_leave_latest
+from helpers import rating_log
 
 
 def item_raters(train):
@@ -120,15 +121,14 @@ def random_log(rng: random.Random, max_users=15, max_items=20, max_events=120) -
     n_users = rng.randint(2, max_users)
     n_items = rng.randint(2, max_items)
     n_events = rng.randint(1, max_events)
-    events = tuple(
-        RatingEvent(
+    return rating_log(
+        (
             f"u{rng.randrange(n_users)}",
             f"i{rng.randrange(n_items)}",
             rng.randrange(1_000_000),
         )
         for _ in range(n_events)
     )
-    return RatingLog(events)
 
 
 def random_dataset(rng: random.Random, **kw) -> Dataset:

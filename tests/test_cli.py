@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from driftcf.cli import main
 
@@ -112,6 +114,18 @@ class TestAnalyzeSsnr:
         assert a.read_bytes() == b.read_bytes()
 
 
+    @pytest.mark.parametrize("flag, value", [
+        ("--age-min", "inf"), ("--age-min", "nan"), ("--bin-ratio", "inf"), ("--bin-ratio", "nan"),
+    ])
+    def test_non_finite_binning_rejected(self, small_log, tmp_path, capsys, flag, value):
+        curve = tmp_path / "curve.csv"
+        code, _out, err = run(
+            capsys, "analyze-ssnr", "--in", str(small_log), "--curve-out", str(curve), flag, value
+        )
+        assert code == 1
+        assert "must be finite" in err
+        assert not curve.exists()
+
     def test_timestamp_above_int64_skipped(self, small_log, tmp_path, capsys):
         padded = tmp_path / "padded.tsv"
         padded.write_text(small_log.read_text() + "u0001\ti0001\t99999999999999999999\n")
@@ -151,6 +165,34 @@ class TestFitTrend:
         for key in ("k_s", "k_l", "plateau"):
             assert refit[key] == pytest.approx(original[key], rel=1e-9, abs=1e-12)
         assert refit["residual"] == pytest.approx(original["residual"], rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("row, defect", [
+        ("0,1.25,0.5,3", "age_lo must be finite and > 0"),
+        ("-1,1.25,0.5,3", "age_lo must be finite and > 0"),
+        ("nan,1.25,0.5,3", "age_lo must be finite and > 0"),
+        ("inf,inf,0.5,3", "age_lo must be finite and > 0"),
+        ("2,2,0.5,3", "age_hi must be finite and > age_lo"),
+        ("2,inf,0.5,3", "age_hi must be finite and > age_lo"),
+        ("2,nan,0.5,3", "age_hi must be finite and > age_lo"),
+        ("1e-200,1e-150,0.5,3", "age_lo * age_hi must be finite and > 0"),
+        ("1e200,1e300,0.5,3", "age_lo * age_hi must be finite and > 0"),
+        ("2,3,nan,3", "mean_ssnr must be finite and >= 0"),
+        ("2,3,inf,3", "mean_ssnr must be finite and >= 0"),
+        ("2,3,-0.5,3", "mean_ssnr must be finite and >= 0"),
+        ("2,3,0.5,0", "count must be at least 1"),
+        ("2,3,0.5,-4", "count must be at least 1"),
+        ("2,3,0.5", "not enough values to unpack"),
+        ("2,3,0.5,3,1", "too many values to unpack"),
+        ("2,3,half,3", "could not convert"),
+        ("2,3,0.5,1.5", "invalid literal"),
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, capsys, row, defect):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n\n{row}\n")
+        code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
+        assert code == 1
+        assert f"line 4: {defect}" in err
+        assert "Traceback" not in err
 
     def test_bad_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
@@ -345,3 +387,79 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small synthetic log and the curve CSV analyze-ssnr writes for it."""
+    work = tmp_path_factory.mktemp("fuzz")
+    log, curve = work / "log.tsv", work / "curve.csv"
+    assert main([
+        "synth", "--seed", "11", "--out", str(log),
+        "--users", "20", "--items", "60", "--events", "500", "--topics", "4",
+    ]) == 0
+    assert main(["analyze-ssnr", "--in", str(log), "--curve-out", str(curve)]) == 0
+    return log.read_bytes(), curve.read_bytes()
+
+
+@st.composite
+def mutated(draw, blob: bytes) -> bytes:
+    """``blob`` with one to four bytes replaced, inserted or deleted."""
+    out = bytearray(blob)
+    for _ in range(draw(st.integers(1, 4))):
+        at = draw(st.integers(0, len(out) - 1))
+        kind = draw(st.sampled_from(["replace", "insert", "delete"]))
+        if kind == "delete":
+            del out[at]
+        else:
+            out[at:at + (kind == "replace")] = bytes([draw(st.integers(0, 255))])
+    return bytes(out)
+
+
+class TestMutatedInputs:
+    """Byte-mutated inputs end in exit 0 or 1 with a named error, never a
+    traceback."""
+
+    fuzz = settings(
+        max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @staticmethod
+    def exits_cleanly(capsys, *argv) -> int:
+        code = main(["--json-errors", *argv])
+        err = capsys.readouterr().err
+        assert code in (0, 1)
+        assert "Traceback" not in err
+        if code == 1:
+            assert json.loads(err.strip().splitlines()[-1])["type"]
+        return code
+
+    def test_unmutated_inputs_succeed(self, fuzz_inputs, tmp_path, capsys):
+        log, curve = tmp_path / "log.tsv", tmp_path / "curve.csv"
+        log.write_bytes(fuzz_inputs[0])
+        curve.write_bytes(fuzz_inputs[1])
+        out = str(tmp_path / "out")
+        assert self.exits_cleanly(capsys, "ingest", "--in", str(log), "--out", out) == 0
+        assert self.exits_cleanly(capsys, "evaluate", "--in", str(log), "--out", out) == 0
+        assert self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", out) == 0
+
+    @fuzz
+    @given(data=st.data())
+    def test_ingest(self, fuzz_inputs, tmp_path, capsys, data):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        self.exits_cleanly(capsys, "ingest", "--in", str(log), "--out", str(tmp_path / "out"))
+
+    @fuzz
+    @given(data=st.data())
+    def test_evaluate(self, fuzz_inputs, tmp_path, capsys, data):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        self.exits_cleanly(capsys, "evaluate", "--in", str(log), "--out", str(tmp_path / "out"))
+
+    @fuzz
+    @given(data=st.data())
+    def test_fit_trend(self, fuzz_inputs, tmp_path, capsys, data):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(data.draw(mutated(fuzz_inputs[1])))
+        self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", str(tmp_path / "out"))

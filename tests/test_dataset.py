@@ -3,74 +3,79 @@
 import io
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from driftcf.dataset import (
+    Dataset,
     LogFormat,
-    RatingEvent,
     RatingLog,
     parse_events,
     preprocess,
     split_leave_latest,
     write_events,
 )
+from helpers import log_triples, profile_pairs, rating_log
 from oracles import random_log
 
 
 def log_of(*triples) -> RatingLog:
-    return RatingLog(tuple(RatingEvent(u, i, t) for u, i, t in triples))
+    return rating_log(triples)
 
 
 class TestParseEvents:
     def test_single_line(self):
         log = parse_events(io.StringIO("u1\tb7\t1100000000\n"))
-        assert log.events == (RatingEvent("u1", "b7", 1100000000),)
+        assert log_triples(log) == [("u1", "b7", 1100000000)]
         assert log.skipped == 0
 
     def test_empty_stream(self):
         log = parse_events(io.StringIO(""))
-        assert log.events == ()
+        assert log_triples(log) == []
+        assert log.timestamps.dtype == np.int64
         assert log.skipped == 0
 
     def test_malformed_lines_skipped_not_fatal(self):
         text = "u1\ta\t1\nu2\ta\t2\nu9\tb2\tnotatime\nu3\tb\t3\n"
         log = parse_events(io.StringIO(text))
-        assert len(log.events) == 3
+        assert len(log) == 3
         assert log.skipped == 1
 
     def test_wrong_field_count_and_negative_timestamp_skipped(self):
         text = "u1\ta\n\nu2\ta\t-5\nu2\ta\t7\n"
         log = parse_events(io.StringIO(text))
-        assert [e.user for e in log.events] == ["u2"]
+        assert log.users == ["u2"]
         assert log.skipped == 3
 
     def test_only_ascii_digit_timestamps_accepted(self):
         stamps = ("1_000", "+12", " 12", "\u0661\u0662")  # the last is Arabic-Indic 12
         text = "".join(f"u1\ta\t{t}\n" for t in stamps) + "u2\ta\t12\n"
         log = parse_events(io.StringIO(text))
-        assert log.events == (RatingEvent("u2", "a", 12),)
+        assert log_triples(log) == [("u2", "a", 12)]
         assert log.skipped == 4
 
     def test_timestamps_above_int64_skipped(self):
         stamps = (str(2**63 - 1), str(2**63), "99999999999999999999")
         text = "".join(f"u1\ta\t{t}\n" for t in stamps)
         log = parse_events(io.StringIO(text))
-        assert log.events == (RatingEvent("u1", "a", 2**63 - 1),)
+        assert log_triples(log) == [("u1", "a", 2**63 - 1)]
         assert log.skipped == 2
         with pytest.raises(ValueError):
-            RatingEvent("u1", "a", 2**63)
+            RatingLog(["u1"], ["a"], [2**63])
 
     def test_custom_format(self):
         fmt = LogFormat(delimiter=",", columns=("timestamp", "user", "item"))
         log = parse_events(io.StringIO("42,u1,x\n"), fmt)
-        assert log.events == (RatingEvent("u1", "x", 42),)
+        assert log_triples(log) == [("u1", "x", 42)]
 
     def test_write_round_trip(self):
         log = log_of(("u1", "a", 1), ("u2", "b", 2))
         buf = io.StringIO()
         write_events(log, buf)
         back = parse_events(io.StringIO(buf.getvalue()))
-        assert back.events == log.events
+        assert log_triples(back) == log_triples(log)
 
     def test_bad_column_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -90,7 +95,7 @@ class TestPreprocess:
     def test_duplicates_collapse_to_earliest(self):
         ds = preprocess(log_of(("u1", "a", 5), ("u1", "a", 2), ("u2", "a", 9)))
         u1 = ds.user_index["u1"]
-        assert ds.profiles[u1] == [(ds.item_index["a"], 2)]
+        assert profile_pairs(ds)[u1] == [(ds.item_index["a"], 2)]
 
     def test_profiles_sorted_by_time_then_item(self):
         ds = preprocess(
@@ -99,8 +104,7 @@ class TestPreprocess:
                 ("u2", "a", 1), ("u2", "b", 1), ("u2", "c", 1),
             )
         )
-        for u in range(ds.n_users):
-            prof = ds.profiles[u]
+        for prof in profile_pairs(ds):
             assert prof == sorted(prof, key=lambda r: (r[1], r[0]))
 
     def test_stats(self):
@@ -114,10 +118,10 @@ class TestPreprocess:
 def oracle_repeated_filter(events):
     """Brute-force fixed point: drop single-user items, then empty users."""
     earliest = {}
-    for ev in events:
-        key = (ev.user, ev.item)
-        if key not in earliest or ev.timestamp < earliest[key]:
-            earliest[key] = ev.timestamp
+    for user, item, timestamp in events:
+        key = (user, item)
+        if key not in earliest or timestamp < earliest[key]:
+            earliest[key] = timestamp
     current = {(u, i, t) for (u, i), t in earliest.items()}
     while True:
         item_users = {}
@@ -133,7 +137,7 @@ def oracle_repeated_filter(events):
 def dataset_triples(ds):
     return {
         (ds.user_ids[u], ds.item_ids[i], t)
-        for u, prof in enumerate(ds.profiles)
+        for u, prof in enumerate(profile_pairs(ds))
         for i, t in prof
     }
 
@@ -144,21 +148,13 @@ class TestPreprocessFixedPoint:
         for _ in range(250):
             log = random_log(rng, max_users=6, max_items=6, max_events=50)
             ds = preprocess(log)
-            assert dataset_triples(ds) == oracle_repeated_filter(log.events)
+            assert dataset_triples(ds) == oracle_repeated_filter(log_triples(log))
 
     def test_idempotent(self):
         rng = random.Random(77)
         for _ in range(50):
             ds = preprocess(random_log(rng))
-            again = preprocess(
-                RatingLog(
-                    tuple(
-                        RatingEvent(ds.user_ids[u], ds.item_ids[i], t)
-                        for u, prof in enumerate(ds.profiles)
-                        for i, t in prof
-                    )
-                )
-            )
+            again = preprocess(rating_log(dataset_triples(ds)))
             assert dataset_triples(again) == dataset_triples(ds)
 
     def test_every_item_has_two_distinct_users(self):
@@ -166,7 +162,7 @@ class TestPreprocessFixedPoint:
         for _ in range(100):
             ds = preprocess(random_log(rng))
             counts = [0] * ds.n_items
-            for prof in ds.profiles:
+            for prof in profile_pairs(ds):
                 for i, _t in prof:
                     counts[i] += 1
             assert all(c >= 2 for c in counts)
@@ -183,7 +179,7 @@ class TestSplitLeaveLatest:
         train, probes = split_leave_latest(ds)
         u1 = ds.user_index["u1"]
         assert probes.probes[u1] == (ds.item_index["c"], 9)
-        assert [i for i, _t in train.profiles[u1]] == [
+        assert [i for i, _t in profile_pairs(train)[u1]] == [
             ds.item_index["a"],
             ds.item_index["b"],
         ]
@@ -196,7 +192,7 @@ class TestSplitLeaveLatest:
         u1 = ds.user_index["u1"]
         u3 = ds.user_index["u3"]
         assert sorted([u1, u3]) == sorted(probes.excluded_users)
-        assert train.profiles[u1] == []
+        assert len(train.profiles[u1]) == 0
 
     def test_timestamp_tie_breaks_to_higher_item_index(self):
         ds = preprocess(
@@ -223,7 +219,92 @@ class TestSplitLeaveLatest:
         for _ in range(100):
             ds = preprocess(random_log(rng))
             train, probes = split_leave_latest(ds)
+            profiles = profile_pairs(train)
             for u, (item, ts) in probes.probes.items():
-                train_items = {i for i, _t in train.profiles[u]}
+                train_items = {i for i, _t in profiles[u]}
                 assert item not in train_items
-                assert all(t <= ts for _i, t in train.profiles[u])
+                assert all(t <= ts for _i, t in profiles[u])
+
+
+class TestRatingLog:
+    def test_columns_must_have_equal_lengths(self):
+        with pytest.raises(ValueError, match="equal lengths"):
+            RatingLog(["u1", "u2"], ["a"], [1, 2])
+
+    @pytest.mark.parametrize("users, items", [([""], ["a"]), (["u1"], [""])])
+    def test_empty_identifiers_rejected(self, users, items):
+        with pytest.raises(ValueError, match="non-empty"):
+            RatingLog(users, items, [1])
+
+    @pytest.mark.parametrize("stamp", [-1, 2**63, 2**64, 10**30])
+    def test_timestamp_out_of_range_is_a_value_error(self, stamp):
+        with pytest.raises(ValueError, match="2\\*\\*63"):
+            RatingLog(["u1"], ["a"], [stamp])
+
+    def test_timestamps_are_read_only_int64(self):
+        log = RatingLog(["u1"], ["a"], [5])
+        assert log.timestamps.dtype == np.int64
+        with pytest.raises(ValueError):
+            log.timestamps[0] = 6
+
+
+# Identifiers without the delimiter, a line break or a surrogate (which the
+# text streams could not encode); a trailing NUL must survive the trip.
+identifiers = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,\r\n"), min_size=1, max_size=6
+)
+
+
+class TestRoundTrip:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(identifiers, identifiers, st.integers(0, 2**63 - 1)), max_size=30
+        ),
+        fmt=st.sampled_from([
+            LogFormat(),
+            LogFormat(",", ("timestamp", "user", "item")),
+            LogFormat("\t", ("item", "timestamp", "user")),
+        ]),
+    )
+    def test_write_then_parse_returns_the_columns(self, events, fmt):
+        log = rating_log(events)
+        buf = io.StringIO()
+        write_events(log, buf, fmt)
+        back = parse_events(io.StringIO(buf.getvalue()), fmt)
+        assert back.skipped == 0
+        assert back.users == log.users and back.items == log.items
+        assert back.timestamps.tolist() == log.timestamps.tolist()
+
+
+class TestColumnarLayout:
+    def test_trailing_nul_ids_stay_distinct(self):
+        # numpy "<U" arrays would drop the NUL and merge the two items
+        ds = preprocess(log_of(
+            ("u1", "a", 1), ("u2", "a", 2), ("u1", "a\x00", 3), ("u2", "a\x00", 4),
+        ))
+        assert ds.item_ids == ["a", "a\x00"]
+        assert ds.n_ratings == 4
+
+    def test_profiles_are_read_only_views_built_once(self):
+        ds = preprocess(log_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4)))
+        assert ds.profiles is ds.profiles
+        assert [len(p) for p in ds.profiles] == np.diff(ds.indptr).tolist()
+        prof = ds.profiles[0]
+        assert prof.base is not None and np.shares_memory(prof, ds.ratings)
+        with pytest.raises(ValueError):
+            prof[0, 1] = 0
+        assert ds.ratings.dtype == ds.indptr.dtype == np.int64
+
+    def test_content_hash_reads_ids_offsets_and_rows(self):
+        ds = preprocess(log_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4)))
+        moved = ds.ratings.copy()
+        moved[-1, 1] += 1
+        variants = [
+            Dataset(ds.user_ids, ds.item_ids, ds.indptr, moved),
+            Dataset(ds.user_ids, ds.item_ids, [0, 1, 4], ds.ratings),
+            Dataset(["u1", "u3"], ds.item_ids, ds.indptr, ds.ratings),
+        ]
+        digests = {ds.content_hash()} | {v.content_hash() for v in variants}
+        assert len(digests) == 4
+        assert Dataset(ds.user_ids, ds.item_ids, ds.indptr, ds.ratings).content_hash() == ds.content_hash()

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from driftcf.dataset import RatingEvent, RatingLog, preprocess
+from driftcf.dataset import preprocess
 from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_decay
 from driftcf.evaluation import (
     EvalReport,
@@ -18,6 +18,7 @@ from driftcf.evaluation import (
 )
 from driftcf.recommender import SPEC_CHUNK
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
+from helpers import rating_log
 from oracles import pipeline_hits, random_dataset
 
 
@@ -51,9 +52,7 @@ def dataset_where_probe_always_wins():
     for k in (8, 9):
         u = f"u{k}"
         events += [(u, "p", 10), (u, "a", 20), (u, "b", 30)]
-    return preprocess(
-        RatingLog(tuple(RatingEvent(u, i, t) for u, i, t in events))
-    )
+    return preprocess(rating_log(events))
 
 
 class TestEvaluate:
@@ -132,9 +131,7 @@ class TestEvaluate:
         assert a.decay == b.decay
 
     def test_no_evaluable_users_rejected(self):
-        ds = preprocess(
-            RatingLog((RatingEvent("u1", "a", 1), RatingEvent("u2", "a", 2)))
-        )
+        ds = preprocess(rating_log([("u1", "a", 1), ("u2", "a", 2)]))
         with pytest.raises(ValueError):
             evaluate(ds, Constant(), [10])
 

@@ -1,6 +1,8 @@
 """Decay-weighted scoring and top-N selection."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from driftcf.decay import (
 )
 from driftcf.recommender import probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
-from helpers import score_vector, scores_dict
+from helpers import dataset_from_profiles, score_vector, scores_dict
 from oracles import (
     dense_cosine,
     dense_scores,
@@ -43,7 +45,7 @@ def model_from_dense(dense) -> SimilarityModel:
 def train_with_profiles(n_items, profiles) -> Dataset:
     users = [f"u{k}" for k in range(len(profiles))]
     items = [f"i{k}" for k in range(n_items)]
-    return Dataset(users, items, [list(p) for p in profiles])
+    return dataset_from_profiles(users, items, profiles)
 
 
 class TestScoreItems:
@@ -98,6 +100,15 @@ class TestScoreItems:
         train = train_with_profiles(2, [[(0, 100)]])
         with pytest.raises(ValueError):
             score_items(train, model, 0, 99, Constant())
+
+    def test_query_time_above_int64_rejected(self):
+        dense = np.zeros((2, 2))
+        dense[0, 1] = dense[1, 0] = 0.4
+        model = model_from_dense(dense)
+        train = train_with_profiles(2, [[(0, 100)]])
+        assert scores_dict(score_items(train, model, 0, 2**63 - 1, Constant())) == {1: 0.4}
+        with pytest.raises(ValueError, match="exceeds"):
+            score_items(train, model, 0, 2**63, Constant())
 
     def test_empty_profile_rejected(self):
         model = model_from_dense(np.zeros((2, 2)))
@@ -292,12 +303,35 @@ class TestProbeRanks:
         _ds, train, _probes = random_train(random.Random(seed))
         model = build_similarity(train)
         for u, profile in enumerate(train.profiles):
-            if not profile:
+            if not len(profile):
                 continue
             t_now = max(ts for _item, ts in profile) + later
             # every item, the profile's own among them, and the two indices
             # just outside the item range
             assert_ranks_match(train, model, u, t_now, range(-1, train.n_items + 1), specs)
+
+    def test_threads_scoring_at_once_match_one_thread(self):
+        # each thread gathers similarity rows into model.scratch buffers of its own
+        rng = random.Random(61)
+        _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
+        model = build_similarity(train)
+        specs = [Constant(), Exponential(5e4)]
+
+        def ranks():
+            return [
+                probe_ranks(train, model, u, probes.probes[u][1], probes.probes[u][0], specs).tolist()
+                for u in probes.evaluated_users * 20
+            ]
+
+        expected = ranks()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = [pool.submit(ranks) for _ in range(8)]
+                assert all(r.result(timeout=120) == expected for r in results)
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_nan_and_negative_similarities(self):
         dense = np.zeros((6, 6))
@@ -342,7 +376,7 @@ class TestProbeRanks:
         dense[0, 1] = dense[1, 0] = 0.4
         model = model_from_dense(dense)
         train = train_with_profiles(2, [[(0, 100)], []])
-        for user, t_now in ((3, 500), (1, 500), (0, 99)):
+        for user, t_now in ((3, 500), (1, 500), (0, 99), (0, 2**63)):
             with pytest.raises(ValueError) as scored:
                 score_items(train, model, user, t_now, Constant())
             with pytest.raises(ValueError) as ranked:

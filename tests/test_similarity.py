@@ -7,23 +7,26 @@ import struct
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from driftcf.cli import main
-from driftcf.dataset import RatingEvent, RatingLog, preprocess
+from driftcf.dataset import preprocess
 from driftcf.similarity import (
     CacheFormatError,
     CacheMismatchError,
+    _row_sq_sums,
     build_similarity,
     load_cache,
     save_cache,
 )
+from helpers import dataset_from_profiles, profile_pairs, rating_log
 from oracles import dense_cosine, random_dataset
 
 
 def train_of(*triples):
-    ds = preprocess(RatingLog(tuple(RatingEvent(u, i, t) for u, i, t in triples)))
+    ds = preprocess(rating_log(triples))
     assert ds.n_ratings > 0
     return ds
 
@@ -60,7 +63,7 @@ class TestBuildSimilarity:
         assert model.value(i, j) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_train_rejected(self):
-        ds = preprocess(RatingLog(()))
+        ds = preprocess(rating_log([]))
         with pytest.raises(ValueError):
             build_similarity(ds)
 
@@ -152,12 +155,45 @@ class TestRowQueries:
             ("u1", "c", 5), ("u2", "c", 6), ("u3", "c", 7), ("u4", "c", 8),
         )
         # drop c from the training profiles to isolate a from b
-        train.profiles = [
-            [(i, t) for i, t in prof if i != train.item_index["c"]]
-            for prof in train.profiles
-        ]
+        c = train.item_index["c"]
+        train = dataset_from_profiles(train.user_ids, train.item_ids, [
+            [(i, t) for i, t in prof if i != c] for prof in profile_pairs(train)
+        ])
         model = build_similarity(train)
         assert model.row(train.item_index["a"]).get(train.item_index["b"]) is None
+
+
+def old_row_sq_sums(matrix):
+    """The elementwise-product form the row-sum helper replaced."""
+    return np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
+
+
+class TestRowSqSums:
+    @pytest.mark.parametrize("dense", [
+        [[0, 0.5, 0], [0, 0, 0], [0.5, 0, 0.25]],  # plain reduceat gives .25 for row 1
+        [[0, 0.5, 0], [0.5, 0, 0], [0, 0, 0]],  # an empty last row starts past the data
+        [[0, 0], [0, 0]],
+    ])
+    def test_empty_rows_are_exactly_zero(self, dense):
+        matrix = sp.csr_matrix(np.array(dense))
+        got = _row_sq_sums(matrix)
+        assert got.tobytes() == old_row_sq_sums(matrix).tobytes()
+        assert np.all(got[np.diff(matrix.indptr) == 0] == 0.0)
+
+    def test_built_and_loaded_models_match_old_form_bit_for_bit(self, tmp_path):
+        rng = random.Random(2024)
+        checked = 0
+        while checked < 20:
+            train = random_dataset(rng, max_users=10, max_items=14, max_events=40)
+            if train.n_ratings == 0:
+                continue
+            model = build_similarity(train)
+            path = str(tmp_path / "sim.bin")
+            save_cache(model, path, train.content_hash())
+            loaded = load_cache(path, train.content_hash())
+            for m in (model, loaded):
+                assert m.row_sq_sums.tobytes() == old_row_sq_sums(m.matrix).tobytes()
+            checked += bool(np.any(np.diff(model.matrix.indptr) == 0))
 
 
 class TestCache:
@@ -334,6 +370,19 @@ class TestCorruptCache:
         path.write_bytes(bytes(out))
         with pytest.raises(CacheFormatError, match="truncated"):
             load_cache(str(path), digest)
+
+    def test_version_one_cache_rejected(self, cli_cache, tmp_path, capsys):
+        # version 1 keyed caches by a JSON hash of the tuple profiles
+        log, blob = cli_cache
+        out = bytearray(blob)
+        struct.pack_into("<H", out, 6, 1)
+        path = tmp_path / "old.bin"
+        path.write_bytes(bytes(out))
+        with pytest.raises(CacheFormatError, match="unsupported cache version 1"):
+            load_cache(str(path), blob[8:40].hex())
+        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "CacheFormatError"
 
     def test_short_header_rejected(self, small_cache, tmp_path):
         digest, blob = small_cache

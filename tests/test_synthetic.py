@@ -34,26 +34,25 @@ class TestDeterminism:
 class TestStructure:
     def test_exact_event_count(self):
         log = generate_synthetic(SMALL)
-        assert len(log.events) == 700
+        assert len(log) == 700
 
     def test_events_are_distinct_per_user(self):
         log = generate_synthetic(SMALL)
         seen = set()
-        for ev in log.events:
-            key = (ev.user, ev.item)
+        for key in zip(log.users, log.items):
             assert key not in seen
             seen.add(key)
 
     def test_log_is_time_sorted(self):
         log = generate_synthetic(SMALL)
-        times = [ev.timestamp for ev in log.events]
+        times = log.timestamps.tolist()
         assert times == sorted(times)
 
     def test_every_user_present_with_expected_share(self):
         log = generate_synthetic(SMALL)
         per_user = {}
-        for ev in log.events:
-            per_user[ev.user] = per_user.get(ev.user, 0) + 1
+        for user in log.users:
+            per_user[user] = per_user.get(user, 0) + 1
         assert len(per_user) == 25
         assert all(count in (28, 29) for count in per_user.values())
 
@@ -62,7 +61,7 @@ class TestStructure:
         assert config.drift_switches == 0
         assert config.session_prob == 0.0
         log = generate_synthetic(config)
-        assert len(log.events) == 700
+        assert len(log) == 700
 
 
 class TestValidation:

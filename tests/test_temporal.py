@@ -18,12 +18,11 @@ from driftcf.temporal import (
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,
-    compute_fsnr,
     compute_ssnr,
     fit_piecewise_trend,
     log_bin_average,
 )
-from helpers import SampleRow, sample_rows, score_vector, ssnr_samples
+from helpers import SampleRow, sample_rows, ssnr_samples
 from oracles import dense_cosine, fit_trend_grid_loop, random_train, scan_bins, ssnr_full_loop
 
 
@@ -288,6 +287,18 @@ class TestLogBinAverage:
         with pytest.raises(ValueError):
             log_bin_average(ssnr_samples([]), age_min=0.5)
 
+    @pytest.mark.parametrize("age_min", [math.inf, math.nan])
+    def test_non_finite_age_min_rejected(self, age_min):
+        samples = ssnr_samples([(0, 0, 5, 1.0)])
+        with pytest.raises(ValueError, match="age_min must be finite"):
+            log_bin_average(samples, age_min=age_min)
+
+    @pytest.mark.parametrize("ratio", [math.inf, math.nan])
+    def test_non_finite_ratio_rejected(self, ratio):
+        samples = ssnr_samples([(0, 0, 5, 1.0)])
+        with pytest.raises(ValueError, match="bin ratio must be finite"):
+            log_bin_average(samples, ratio=ratio)
+
     @settings(max_examples=80, deadline=None)
     @given(
         ratio=st.one_of(st.sampled_from([10 ** 0.1, 2.0, 1.5]), st.floats(1.01, 8.0)),
@@ -445,31 +456,3 @@ class TestMemoisedTrendFit:
         tl_grid = np.geomspace(5e5, 5e7, 20)
         assert fit_piecewise_trend(curve) == TrendFit(*fit_trend_grid_loop(curve, ts_grid, tl_grid))
 
-
-class TestComputeFsnr:
-    def test_uniform_scores(self):
-        sv = score_vector({5: 1.0, 6: 1.0, 7: 1.0})
-        assert compute_fsnr(sv, 5) == pytest.approx(0.5, abs=1e-15)
-
-    def test_zero_probe_score(self):
-        sv = score_vector({5: 0.0, 6: 1.0, 7: 2.0})
-        assert compute_fsnr(sv, 5) == 0.0
-
-    def test_permuting_non_probe_scores_is_invariant(self):
-        a = score_vector({1: 0.7, 2: 0.1, 3: 0.4, 4: 0.2})
-        b = score_vector({1: 0.7, 2: 0.4, 3: 0.2, 4: 0.1})
-        assert compute_fsnr(a, 1) == compute_fsnr(b, 1)
-
-    def test_probe_missing_rejected(self):
-        with pytest.raises(ValueError):
-            compute_fsnr(score_vector({2: 1.0}), 5)
-
-    def test_degenerate_infinite(self):
-        with pytest.raises(DegenerateRatioError) as exc:
-            compute_fsnr(score_vector({5: 1.0, 6: 0.0}), 5)
-        assert exc.value.kind == "degenerate_infinite"
-
-    def test_undefined(self):
-        with pytest.raises(DegenerateRatioError) as exc:
-            compute_fsnr(score_vector({5: 0.0, 6: 0.0}), 5)
-        assert exc.value.kind == "undefined"
