@@ -172,6 +172,8 @@ def _read_curve_csv(path: str) -> BinnedCurve:
     for n, line in lines[1:]:
         try:
             bins.append(_curve_bin(line))
+            if len(bins) > 1 and bins[-1].age_lo < bins[-2].age_hi:
+                raise ValueError(f"age_lo must be >= the previous bin's age_hi {bins[-2].age_hi!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: line {n}: {exc}") from None
     if not bins:

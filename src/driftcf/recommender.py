@@ -8,7 +8,9 @@ summed over the user's training profile.  Only items reachable through at
 least one nonzero similarity are candidates; unreachable items score
 exactly zero and are never ranked.  A profile's similarity rows do not
 depend on the decay, so ``probe_ranks`` ranks a probe under many specs
-from one gather.
+from one gather.  The gathers and sums run in scipy's private compiled
+``_sparsetools`` kernels, which add the terms in profile order; no other
+module calls them.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .dataset import MAX_TIMESTAMP, Dataset
 from .decay import DecaySpec
@@ -41,13 +43,16 @@ class ScoreVector:
 
 def _gather(
     train: Dataset, model: SimilarityModel, user: int, t_now: int
-) -> tuple[np.ndarray, np.ndarray, sp.csc_matrix]:
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Validate a query and gather its profile: the profile's item indices,
     the ages of its ratings at ``t_now``, and the transposed similarity rows
-    (items x profile, one column per rating in profile order), whose arrays
-    are this thread's ``model.scratch`` buffers, overwritten by the next
-    call.  Raises ValueError for an unknown user, an empty training profile,
-    or a query time before one of its ratings or above 2**63 - 1.
+    as the CSC arrays ``(indptr, indices, data)`` of an items x profile
+    matrix, one column per rating in profile order.  One ``csr_row_index``
+    call copies the rows into this thread's ``model.scratch`` buffers, kept
+    in the matrix's index dtype and overwritten by the next call.  Raises
+    ValueError for an unknown user, an empty training profile, a profile
+    item outside the model, or a query time before one of its ratings or
+    above 2**63 - 1.
     """
     if not 0 <= user < train.n_users:
         raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
@@ -60,18 +65,39 @@ def _gather(
     if t_now > MAX_TIMESTAMP:
         raise ValueError(f"query time {t_now} exceeds 2**63 - 1")
     prof_items = profile[:, 0]
+    # the kernels index without bounds checks
+    outside = prof_items[(prof_items < 0) | (prof_items >= model.n_items)]
+    if len(outside):
+        raise ValueError(
+            f"user {user} rated item {outside[0]}, outside the model's {model.n_items} items"
+        )
     ages = (t_now - profile[:, 1]).astype(float)
     m = model.matrix
-    lo, hi = m.indptr[prof_items].tolist(), m.indptr[prof_items + 1].tolist()
-    sub_t = sp.csc_matrix((m.shape[1], len(lo)))
-    sub_t.indptr = np.cumsum([0, *np.subtract(hi, lo)], dtype=np.intp)
-    n = int(sub_t.indptr[-1])
+    rows = prof_items.astype(m.indices.dtype)
+    indptr = np.zeros(len(rows) + 1, m.indices.dtype)
+    np.cumsum(m.indptr[rows + 1] - m.indptr[rows], out=indptr[1:])
+    n = int(indptr[-1])
     scratch = model.scratch
-    if not hasattr(scratch, "data") or len(scratch.data) < n:
-        scratch.indices, scratch.data = np.empty(2 * n, np.intp), np.empty(2 * n)
-    sub_t.indices = np.concatenate([m.indices[a:b] for a, b in zip(lo, hi)], out=scratch.indices[:n])
-    sub_t.data = np.concatenate([m.data[a:b] for a, b in zip(lo, hi)], out=scratch.data[:n])
-    return prof_items, ages, sub_t
+    fits = hasattr(scratch, "data") and len(scratch.data) >= n
+    if not fits or scratch.indices.dtype != indptr.dtype:
+        scratch.indices, scratch.data = np.empty(2 * n, indptr.dtype), np.empty(2 * n)
+        scratch.ones = np.ones(2 * n)
+    indices, data = scratch.indices[:n], scratch.data[:n]
+    _sparsetools.csr_row_index(len(rows), rows, m.indptr, m.indices, m.data, indices, data)
+    return prof_items, ages, (indptr, indices, data)
+
+
+def _product(indptr, indices, data, weights: np.ndarray, n_items: int) -> np.ndarray:
+    """The n_items x L block ``gathered @ weights`` for a P x L weight block,
+    each rating's column added in profile order.  A one-column
+    ``csc_matvecs`` gives the bits of ``csc_matvec`` at half the speed."""
+    (n_cols, n_vecs), out = weights.shape, np.zeros((n_items, weights.shape[1]))
+    arrays = (indptr, indices, data, weights.ravel(), out.ravel())
+    if n_vecs == 1:
+        _sparsetools.csc_matvec(n_items, n_cols, *arrays)
+    else:
+        _sparsetools.csc_matvecs(n_items, n_cols, n_vecs, *arrays)
+    return out
 
 
 def score_items(
@@ -83,14 +109,19 @@ def score_items(
 ) -> ScoreVector:
     """Score all candidate items for ``user`` as of ``t_now`` under one spec.
 
-    Raises ValueError for an unknown user, an empty training profile, or a
-    query time before one of its ratings or above 2**63 - 1.
+    A candidate is an item outside the profile that a gathered entry
+    reaches, whatever its weight: the same kernel counts entries over a
+    buffer of ones, so ``Window`` keeps reachable items at exactly 0.
+    Raises ValueError as ``_gather`` does.
     """
-    prof_items, ages, sub_t = _gather(train, model, user, t_now)
-    reachable = np.asarray(sub_t.getnnz(axis=1)).ravel() > 0
+    prof_items, ages, (indptr, indices, data) = _gather(train, model, user, t_now)
+    weights = np.empty((len(ages), 1))
+    weights[:, 0] = spec.weight(ages)
+    totals = _product(indptr, indices, data, weights, model.n_items)[:, 0]
+    ones = model.scratch.ones[:len(data)]
+    reachable = _product(indptr, indices, ones, np.ones_like(weights), model.n_items)[:, 0] > 0
     reachable[prof_items] = False
     candidates = np.flatnonzero(reachable)
-    totals = sub_t.dot(spec.weight(ages))
     return ScoreVector(user, t_now, candidates, totals[candidates])
 
 
@@ -111,12 +142,13 @@ def probe_ranks(
 
     Equal to ``probe_rank(score_items(...))`` per spec, with None as 0: the
     profile's similarity rows are gathered once and every spec is scored by
-    one (items x P) @ (P x specs) product per chunk of ``SPEC_CHUNK`` specs,
-    which adds each rating's column in profile order as ``score_items``
-    does, so the scores agree bit for bit.  A probe outside the item range
-    is unranked.  Raises ValueError as ``score_items`` does.
+    one (items x P) @ (P x specs) kernel product per chunk of ``SPEC_CHUNK``
+    specs, ``csc_matvec`` for a chunk of one and ``csc_matvecs`` otherwise.
+    Both add each rating's column in profile order as ``score_items`` does,
+    so the scores agree bit for bit.  A probe outside the item range is
+    unranked.  Raises ValueError as ``score_items`` does.
     """
-    prof_items, ages, sub_t = _gather(train, model, user, t_now)
+    prof_items, ages, gathered = _gather(train, model, user, t_now)
     ranks = np.zeros(len(specs), dtype=np.int64)
     if not 0 <= probe_item < model.n_items:
         return ranks
@@ -125,7 +157,7 @@ def probe_ranks(
         weights = np.empty((len(ages), len(chunk)))
         for k, spec in enumerate(chunk):
             weights[:, k] = spec.weight(ages)
-        scores = sub_t @ weights
+        scores = _product(*gathered, weights, model.n_items)
         # the user's own items are never candidates; unreachable ones score 0
         scores[prof_items] = 0.0
         p = scores[probe_item]

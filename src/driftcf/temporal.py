@@ -259,9 +259,12 @@ def log_bin_average(
     return BinnedCurve(bins, ratio, age_min)
 
 
-def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float]:
-    """Least-squares line in log-log space; returns (slope, ssr)."""
-    slope, intercept = np.polyfit(log_x, log_y, 1)
+def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float] | None:
+    """Least-squares line in log-log space; returns (slope, ssr), or None
+    when the bins cannot fix a line, as when they share one midpoint."""
+    (slope, intercept), _ssr, rank, _sv, _rcond = np.polyfit(log_x, log_y, 1, full=True)
+    if rank < 2:
+        return None
     resid = log_y - (slope * log_x + intercept)
     return float(slope), float(np.dot(resid, resid))
 
@@ -279,7 +282,9 @@ def fit_piecewise_trend(
     if positive).  Bins are assigned to segments by their geometric
     midpoint age.  The candidate minimizing total squared log-log
     residual wins; ties break toward smaller t_s, then smaller t_l.
-    Zero-mean bins cannot be represented in log space and are ignored.
+    Zero-mean bins cannot be represented in log space and are ignored, and
+    a candidate whose outer segment cannot fix a line (its bins all share
+    one midpoint) is skipped.
     """
     if ts_grid is None:
         ts_grid = np.geomspace(*DEFAULT_TS_GRID_RANGE, DEFAULT_GRID_POINTS)
@@ -294,8 +299,8 @@ def fit_piecewise_trend(
     # Each outer segment's fit depends on one breakpoint only, so it is
     # made once per grid value, when a candidate first needs it.
     longs = [log_x >= math.log(t_l) for t_l in tl_grid]
-    short_fits: dict[int, tuple[float, float]] = {}
-    long_fits: dict[int, tuple[float, float]] = {}
+    short_fits: dict[int, tuple[float, float] | None] = {}
+    long_fits: dict[int, tuple[float, float] | None] = {}
     best: tuple[float, float, float] | None = None
     best_fit: TrendFit | None = None
     for a, t_s in enumerate(ts_grid):
@@ -313,6 +318,8 @@ def fit_piecewise_trend(
                 short_fits[a] = _segment_fit(log_x[short], log_y[short])
             if b not in long_fits:
                 long_fits[b] = _segment_fit(log_x[long], log_y[long])
+            if short_fits[a] is None or long_fits[b] is None:
+                continue
             slope_s, ssr_s = short_fits[a]
             slope_l, ssr_l = long_fits[b]
             residual = ssr_s + ssr_plat + ssr_l
@@ -329,8 +336,8 @@ def fit_piecewise_trend(
                 )
     if best_fit is None:
         raise TrendFitError(
-            f"no (t_s, t_l) candidate had at least 2 usable bins per segment "
-            f"({len(usable)} usable bins)"
+            f"no (t_s, t_l) candidate had at least 2 usable bins per segment, "
+            f"the outer ones at 2 midpoints or more ({len(usable)} usable bins)"
         )
     return best_fit
 

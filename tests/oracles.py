@@ -2,8 +2,9 @@
 
 Everything here is deliberately naive: dense two-loop cosine from user
 sets, full-catalog loops for signal-to-noise ratios, triple-loop scoring,
-full-sort ranking, edge-scanning log-binning and a trend fit that refits
-every breakpoint candidate.  None of it shares code with the library paths it
+an entry-by-entry score sum in profile order, full-sort ranking,
+edge-scanning log-binning and a trend fit that refits every breakpoint
+candidate.  None of it shares code with the library paths it
 checks.
 """
 
@@ -61,6 +62,23 @@ def dense_scores(train, sim, user, t_now, weight_fn):
         for item, ts in profile:
             f += weight_fn(t_now - ts) * sim[item][j]
         scores[j] = f
+    return scores
+
+
+def profile_order_scores(train, model, user, t_now, weight_fn):
+    """Scores by adding ``weight_fn(age) * s_ij`` over each stored entry
+    of each profile row, rating by rating in profile order, starting from
+    0.0: the summation order the library promises, so its scores must
+    equal these exactly.  Items of the profile are dropped; items no
+    stored entry reaches are absent."""
+    profile = train.profiles[user].tolist()
+    scores = {}
+    for item, ts in profile:
+        w = weight_fn(t_now - ts)
+        for j, s in model.row(item).items():
+            scores[j] = scores.get(j, 0.0) + w * s
+    for item, _ts in profile:
+        scores.pop(item, None)
     return scores
 
 
@@ -172,7 +190,7 @@ def fit_trend_grid_loop(curve, ts_grid, tl_grid):
     """Piecewise trend fit refitting both outer segments for every
     (t_s, t_l) candidate.  Returns the winning (t_s, t_l, k_s, k_l,
     plateau, residual), or None when no candidate has 2 usable bins in
-    each segment.
+    each segment and 2 distinct midpoints in each outer one.
     """
     def segment_fit(x, y):
         slope, intercept = np.polyfit(x, y, 1)
@@ -191,6 +209,9 @@ def fit_trend_grid_loop(curve, ts_grid, tl_grid):
             long = log_x >= math.log(t_l)
             plat = ~short & ~long
             if short.sum() < 2 or plat.sum() < 2 or long.sum() < 2:
+                continue
+            # a line through bins at one midpoint is not determined
+            if len(set(log_x[short].tolist())) < 2 or len(set(log_x[long].tolist())) < 2:
                 continue
             log_c = float(np.mean(log_y[plat]))
             ssr_plat = float(np.sum((log_y[plat] - log_c) ** 2))

@@ -194,6 +194,19 @@ class TestFitTrend:
         assert f"line 4: {defect}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("row", ["1,1.25,0.4,3", "1.2,2,0.4,3", "0.5,0.8,0.4,3"])
+    def test_row_overlapping_or_preceding_the_previous_bin_names_its_line(
+        self, tmp_path, capsys, row
+    ):
+        # the bin ratio is read off the first row; later rows must follow it
+        doubling = "".join(f"{1e5 * 2**k:g},{2e5 * 2**k:g},0.3,3\n" for k in range(14))
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n{row}\n{doubling}")
+        code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
+        assert code == 1
+        assert "line 3: age_lo must be >= the previous bin's age_hi 1.25" in err
+        assert "Traceback" not in err
+
     def test_bad_header_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("nope\n1,2,3,4\n")

@@ -20,12 +20,14 @@ from driftcf.decay import (
     Window,
     eval_decay,
 )
+from driftcf import recommender
 from driftcf.recommender import probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
 from helpers import dataset_from_profiles, score_vector, scores_dict
 from oracles import (
     dense_cosine,
     dense_scores,
+    profile_order_scores,
     random_train,
     reference_ibcf_top_n,
     sort_truncate,
@@ -46,6 +48,24 @@ def train_with_profiles(n_items, profiles) -> Dataset:
     users = [f"u{k}" for k in range(len(profiles))]
     items = [f"i{k}" for k in range(n_items)]
     return dataset_from_profiles(users, items, profiles)
+
+
+class Scaled:
+    """A spec whose weights are ``factor`` times those of ``inner``."""
+
+    def __init__(self, inner, factor):
+        self.inner = inner
+        self.factor = factor
+
+    def weight(self, age):
+        return self.factor * self.inner.weight(age)
+
+
+def with_index_dtype(model: SimilarityModel, dtype) -> SimilarityModel:
+    """The same model with its CSR index arrays in ``dtype``."""
+    matrix = model.matrix.copy()
+    matrix.indptr, matrix.indices = matrix.indptr.astype(dtype), matrix.indices.astype(dtype)
+    return SimilarityModel(matrix, model.user_counts, model.row_sq_sums)
 
 
 class TestScoreItems:
@@ -193,14 +213,6 @@ class TestTopN:
                 ]
 
     def test_scaled_weight_function_preserves_rankings_end_to_end(self):
-        class Scaled:
-            def __init__(self, inner, factor):
-                self.inner = inner
-                self.factor = factor
-
-            def weight(self, age):
-                return self.factor * self.inner.weight(age)
-
         rng = random.Random(16)
         base = Piecewise(5e4, 1e6, 0.6, 0.3)
         for _ in range(15):
@@ -382,3 +394,66 @@ class TestProbeRanks:
             with pytest.raises(ValueError) as ranked:
                 probe_ranks(train, model, user, t_now, 1, [Constant()])
             assert str(ranked.value) == str(scored.value)
+
+
+class TestKernelScoring:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        spec=spec_strategy,
+        factor=st.sampled_from([1.0, -1.0, 0.0, -2.5]),
+        flip=st.booleans(),
+        later=st.integers(0, 10**7),
+    )
+    def test_scores_equal_profile_order_oracle_exactly(self, seed, spec, factor, flip, later):
+        # negative and zero weights through factor; negative similarities
+        # through flip, which negates every other stored entry
+        rng = random.Random(seed)
+        _ds, train, _probes = random_train(rng)
+        model = build_similarity(train)
+        if flip:
+            model.matrix.data[::2] *= -1.0
+        scaled = Scaled(spec, factor)
+        for u, profile in enumerate(train.profiles):
+            if not len(profile):
+                continue
+            t_now = int(profile[:, 1].max()) + later
+            expected = profile_order_scores(
+                train, model, u, t_now, lambda age: factor * eval_decay(spec, age)
+            )
+            assert scores_dict(score_items(train, model, u, t_now, scaled)) == expected
+
+    def test_int64_index_model_scores_bit_for_bit(self):
+        rng = random.Random(71)
+        _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
+        narrow = with_index_dtype(build_similarity(train), np.int32)
+        wide = with_index_dtype(narrow, np.int64)
+        assert wide.matrix.indices.dtype == wide.matrix.indptr.dtype == np.int64
+        one = [Piecewise(5e4, 1e6, 0.6, 0.3)]
+        many = [Constant(), Window(1e5), Exponential(5e4), *one]
+        for u in probes.evaluated_users:
+            probe, t_now = probes.probes[u]
+            a, b = (score_items(train, m, u, t_now, one[0]) for m in (narrow, wide))
+            assert a.items.tobytes() == b.items.tobytes()
+            assert a.scores.tobytes() == b.scores.tobytes()
+            for specs in (one, many):
+                for item in (probe, *a.items[:3].tolist()):
+                    expected = probe_ranks(train, narrow, u, t_now, item, specs).tolist()
+                    assert probe_ranks(train, wide, u, t_now, item, specs).tolist() == expected
+        # each model's rows were gathered in its own index dtype
+        assert narrow.scratch.indices.dtype == np.int32
+        assert wide.scratch.indices.dtype == np.int64
+
+    @pytest.mark.parametrize("item", [3, 7])
+    def test_profile_item_outside_the_model_rejected_before_any_kernel(self, monkeypatch, item):
+        # a model built for three items, a training set with more
+        dense = np.zeros((3, 3))
+        dense[0, 1] = dense[1, 0] = 0.4
+        model = model_from_dense(dense)
+        train = train_with_profiles(8, [[(0, 100), (item, 200)]])
+        monkeypatch.setattr(recommender, "_sparsetools", None)
+        message = f"user 0 rated item {item}, outside the model's 3 items"
+        with pytest.raises(ValueError, match=message):
+            score_items(train, model, 0, 500, Constant())
+        with pytest.raises(ValueError, match=message):
+            probe_ranks(train, model, 0, 500, 1, [Constant()])

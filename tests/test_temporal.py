@@ -410,6 +410,19 @@ class TestTrendFit:
         with pytest.raises(TrendFitError):
             fit_piecewise_trend(curve)
 
+    def test_outer_segment_at_one_midpoint_is_unusable(self):
+        # two bins share the midpoint sqrt(2); a short segment holding only
+        # them cannot fix a slope, and polyfit would warn and fit anyway
+        lo_bins = (CurveBin(1.0, 2.0, 0.5, 3), CurveBin(1.0, 2.0, 0.4, 3))
+        doubling = tuple(CurveBin(1e5 * 2**k, 2e5 * 2**k, 0.3, 3) for k in range(14))
+        curve = BinnedCurve(lo_bins + doubling, 2.0, 1.0)
+        ts_grid, tl_grid = np.geomspace(10.0, 1e6, 11), np.geomspace(1e5, 1e9, 9)
+        fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
+        assert fit == TrendFit(*fit_trend_grid_loop(curve, ts_grid, tl_grid))
+        assert fit.t_s > 2e5  # the short segment reaches the doubling bins
+        with pytest.raises(TrendFitError):
+            fit_piecewise_trend(curve, ts_grid[:5], tl_grid)
+
     def test_zero_mean_bins_ignored(self):
         base = synthetic_curve(5e4, 1e6, 0.6, 0.3, 1.0)
         spiked = BinnedCurve(
