@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import io
 import json
-import math
 import os
 import sys
 from typing import Sequence
@@ -146,22 +145,6 @@ def _curve_csv(curve: BinnedCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _curve_bin(line: str) -> CurveBin:
-    lo_text, hi_text, mean_text, count_text = line.split(",")
-    lo, hi, mean, count = float(lo_text), float(hi_text), float(mean_text), int(count_text)
-    if not 0 < lo < math.inf:
-        raise ValueError(f"age_lo must be finite and > 0, got {lo!r}")
-    if not lo < hi < math.inf:
-        raise ValueError(f"age_hi must be finite and > age_lo, got {hi!r}")
-    if not 0 < lo * hi < math.inf:  # the trend fit reads a bin at sqrt(age_lo * age_hi)
-        raise ValueError(f"age_lo * age_hi must be finite and > 0, got {lo * hi!r}")
-    if not 0 <= mean < math.inf:
-        raise ValueError(f"mean_ssnr must be finite and >= 0, got {mean!r}")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
-    return CurveBin(lo, hi, mean, count)
-
-
 def _read_curve_csv(path: str) -> BinnedCurve:
     """The bins of a curve CSV; a ValueError names the first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -171,7 +154,8 @@ def _read_curve_csv(path: str) -> BinnedCurve:
     bins = []
     for n, line in lines[1:]:
         try:
-            bins.append(_curve_bin(line))
+            lo, hi, mean, count = line.split(",")
+            bins.append(CurveBin(float(lo), float(hi), float(mean), int(count)))
             if len(bins) > 1 and bins[-1].age_lo < bins[-2].age_hi:
                 raise ValueError(f"age_lo must be >= the previous bin's age_hi {bins[-2].age_hi!r}")
         except ValueError as exc:
@@ -232,6 +216,8 @@ def _cmd_analyze_ssnr(args) -> int:
 
 
 def _cmd_fit_trend(args) -> int:
+    if args.grid_points < 1:
+        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     curve = _read_curve_csv(args.curve)
     ts_grid = np.geomspace(*args.ts_range, args.grid_points)
     tl_grid = np.geomspace(*args.tl_range, args.grid_points)

@@ -171,7 +171,6 @@ class ParamGrid:
 
 @dataclass
 class SweepResult:
-    best_spec: DecaySpec
     best_row: dict
     rows: list[dict]
     objective_n: int
@@ -219,4 +218,4 @@ def grid_sweep(
         for (family, params, spec), report in zip(entries, reports)
     ]
     best_idx = max(range(len(rows)), key=lambda k: rows[k]["hit_rate"][objective_n])
-    return SweepResult(entries[best_idx][2], rows[best_idx], rows, objective_n)
+    return SweepResult(rows[best_idx], rows, objective_n)

@@ -27,11 +27,13 @@ from .atomic import atomic_open
 from .dataset import Dataset
 
 _CACHE_MAGIC = b"DCFSIM"
-_CACHE_VERSION = 2
+_CACHE_VERSION = 3
 # Cache layout, little-endian; save_cache and load_cache both read it here.
-_HEADER = struct.Struct("<6sH32sI")  # magic, version, training-set SHA-256, item count
-_RECORD = struct.Struct("<III")  # item index, user count, entry count
-_ENTRY = np.dtype([("j", "<u4"), ("s", "<f8")])  # column index, similarity
+# magic, version, training-set SHA-256, item count, entry count
+_HEADER = struct.Struct("<6sH32sIQ")
+# after the header: user counts and row lengths (one per item), then column
+# indices and similarities (one per entry, rows in item order)
+_BLOCKS = ("<u4", "<u4", "<u4", "<f8")
 
 # build_similarity rounds s_ij = c_ij * (1/sqrt(n_i) * 1/sqrt(n_j)) in six
 # steps, so two items rated by the same users can get 1 + 2**-52; the
@@ -135,32 +137,31 @@ def _row_sq_sums(matrix: sp.csr_matrix) -> np.ndarray:
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:
     """Write a binary cache of the model, keyed by the training set hash.
 
-    Layout: a header (magic, version, 32-byte SHA-256 digest, item count),
-    then record k for item k: item index, user count, entry count, and the
-    row's entries (j, s) in ascending j.  The file appears atomically.
+    Layout: a header (magic, version, 32-byte SHA-256 digest, item count,
+    entry count), then the model's arrays: user counts, row lengths, column
+    indices and similarities.  The file appears atomically.
     """
     digest = bytes.fromhex(dataset_hash)
     if len(digest) != 32:
         raise ValueError("dataset_hash must be a 64-character hex SHA-256")
+    m = model.matrix
+    arrays = (model.user_counts, np.diff(m.indptr), m.indices, m.data)
     with atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, model.n_items))
-        for i in range(model.n_items):
-            idx, val = model.row_arrays(i)
-            entries = np.empty(len(idx), dtype=_ENTRY)
-            entries["j"], entries["s"] = idx, val
-            fh.write(_RECORD.pack(i, int(model.user_counts[i]), len(idx)))
-            fh.write(entries.tobytes())
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, model.n_items, m.nnz))
+        for dtype, arr in zip(_BLOCKS, arrays):
+            fh.write(np.ascontiguousarray(arr, dtype=dtype))
 
 
 def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     """Load a cached model, refusing one built from a different dataset.
 
     Raises CacheFormatError for a malformed file: truncated or trailing
-    bytes, records out of item order, a row whose column indices are not
-    strictly increasing and below the item count or that holds its own
-    item, a similarity that is not finite and positive or that exceeds 1
-    by more than rounding (``MAX_SIMILARITY``), or a matrix that is not bit
-    for bit equal to its transpose.
+    bytes, row lengths that do not add up to the entry count, a row whose
+    column indices are not strictly increasing and below the item count or
+    that holds its own item, a similarity that is not finite and positive or
+    that exceeds 1 by more than rounding (``MAX_SIMILARITY``), or a matrix
+    that is not bit for bit equal to its transpose.  An error in item k's
+    row names it as record k.
     """
     counts, indptr, indices, data = _read_cache(path, dataset_hash)
     _check_entries(path, indptr, indices, data)
@@ -182,10 +183,10 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
 def _read_cache(
     path: str, dataset_hash: str
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Walk a cache file's header and records, checking item order and
-    truncation; returns the user counts and the CSR indptr, indices and data
-    it holds, copied out of the file buffer, which is freed on return.  The
-    entries themselves are left to ``_check_entries``.
+    """Check a cache file's header, length and row lengths; returns the user
+    counts and the CSR indptr, indices and data it holds, copied out of the
+    file buffer, which is freed on return.  The entries themselves are left
+    to ``_check_entries``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -193,7 +194,7 @@ def _read_cache(
         raise CacheFormatError(f"{path}: not a similarity cache")
     if len(blob) < _HEADER.size:
         raise CacheFormatError(f"{path}: truncated cache header")
-    _magic, version, digest, n_items = _HEADER.unpack_from(blob)
+    _magic, version, digest, n_items, nnz = _HEADER.unpack_from(blob)
     if version != _CACHE_VERSION:
         raise CacheFormatError(f"{path}: unsupported cache version {version}")
     if digest.hex() != dataset_hash:
@@ -201,35 +202,23 @@ def _read_cache(
             f"{path}: cache was built from a different training set "
             f"(cache {digest.hex()[:12]}..., expected {dataset_hash[:12]}...)"
         )
-    off = _HEADER.size
-    # every record takes at least its fixed part; checked before allocating
-    if n_items * _RECORD.size > len(blob) - off:
-        raise CacheFormatError(f"{path}: truncated cache ({n_items} items declared)")
+    # the header's counts size everything allocated below, so check them first
+    body, size = len(blob) - _HEADER.size, 8 * n_items + 12 * nnz
+    if body < size:
+        raise CacheFormatError(f"{path}: truncated cache ({n_items} items, {nnz} entries declared)")
+    if body > size:
+        raise CacheFormatError(f"{path}: trailing bytes after the last entry")
 
-    counts = np.zeros(n_items, dtype=np.int64)
+    blocks, off = [], _HEADER.size
+    for dtype, count in zip(_BLOCKS, (n_items, n_items, nnz, nnz)):
+        blocks.append(np.frombuffer(blob, dtype=dtype, count=count, offset=off))
+        off += blocks[-1].nbytes
+    counts, lengths, j, s = blocks
     indptr = np.zeros(n_items + 1, dtype=np.int64)
-    rows: list[np.ndarray] = []  # views into the file buffer
-    for k in range(n_items):
-        if off + _RECORD.size > len(blob):
-            raise CacheFormatError(f"{path}: truncated cache at record {k}")
-        i, user_count, entry_count = _RECORD.unpack_from(blob, off)
-        off += _RECORD.size
-        if i != k:
-            raise CacheFormatError(f"{path}: record {k} carries item index {i}")
-        if off + entry_count * _ENTRY.itemsize > len(blob):
-            raise CacheFormatError(f"{path}: truncated cache in record {k}")
-        rows.append(np.frombuffer(blob, dtype=_ENTRY, count=entry_count, offset=off))
-        off += entry_count * _ENTRY.itemsize
-        counts[k] = user_count
-        indptr[k + 1] = entry_count
-    if off != len(blob):
-        raise CacheFormatError(f"{path}: trailing bytes after last record")
-
-    np.cumsum(indptr, out=indptr)
-    rows = rows or [np.zeros(0, dtype=_ENTRY)]
-    indices = np.concatenate([r["j"] for r in rows], dtype=np.int32, casting="unsafe")
-    data = np.concatenate([r["s"] for r in rows], dtype=np.float64)
-    return counts, indptr, indices, data
+    np.cumsum(lengths, dtype=np.int64, out=indptr[1:])
+    if indptr[-1] != nnz:
+        raise CacheFormatError(f"{path}: row lengths add up to {indptr[-1]}, not {nnz} entries")
+    return counts.astype(np.int64), indptr, j.astype(np.int32), s.astype(np.float64)
 
 
 def _check_entries(path: str, indptr: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:

@@ -75,10 +75,25 @@ class SsnrSamples:
 
 @dataclass(frozen=True)
 class CurveBin:
+    """One bin of a binned curve; a ValueError names its first bad field."""
+
     age_lo: float
     age_hi: float
     mean_ssnr: float
     count: int
+
+    def __post_init__(self) -> None:
+        lo, hi = self.age_lo, self.age_hi
+        if not 0 < lo < math.inf:
+            raise ValueError(f"age_lo must be finite and > 0, got {lo!r}")
+        if not lo < hi < math.inf:
+            raise ValueError(f"age_hi must be finite and > age_lo, got {hi!r}")
+        if not 0 < lo * hi < math.inf:  # the trend fit reads a bin at sqrt(age_lo * age_hi)
+            raise ValueError(f"age_lo * age_hi must be finite and > 0, got {lo * hi!r}")
+        if not 0 <= self.mean_ssnr < math.inf:
+            raise ValueError(f"mean_ssnr must be finite and >= 0, got {self.mean_ssnr!r}")
+        if self.count < 1:
+            raise ValueError(f"count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)

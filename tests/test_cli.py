@@ -116,6 +116,8 @@ class TestAnalyzeSsnr:
 
     @pytest.mark.parametrize("flag, value", [
         ("--age-min", "inf"), ("--age-min", "nan"), ("--bin-ratio", "inf"), ("--bin-ratio", "nan"),
+        # finite, but the first bin's age_lo * age_hi overflows
+        ("--age-min", "1e300"),
     ])
     def test_non_finite_binning_rejected(self, small_log, tmp_path, capsys, flag, value):
         curve = tmp_path / "curve.csv"
@@ -213,6 +215,18 @@ class TestFitTrend:
         code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
         assert code == 1
         assert "header" in err
+
+    @pytest.mark.parametrize("points", ["0", "-1"])
+    def test_grid_points_below_one_rejected(self, tmp_path, capsys, points):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n")
+        out = tmp_path / "trend.json"
+        code, _out, err = run(
+            capsys, "fit-trend", "--curve", str(curve), "--grid-points", points, "--out", str(out)
+        )
+        assert code == 1
+        assert f"--grid-points must be at least 1, got {points}" in err
+        assert not out.exists()
 
 
 class TestRecommend:
@@ -447,6 +461,15 @@ class TestMutatedInputs:
             assert json.loads(err.strip().splitlines()[-1])["type"]
         return code
 
+    @staticmethod
+    def log_commands(log, out: str) -> list[list[str]]:
+        """The remaining subcommands that read a log, at sizes a fuzz run affords."""
+        return [
+            ["analyze-ssnr", "--in", str(log), "--curve-out", out],
+            ["recommend", "--in", str(log), "--user", "u0014", "--at", "9000000000", "--out", out],
+            ["sweep", "--in", str(log), "--grid-points", "1", "--table-out", out],
+        ]
+
     def test_unmutated_inputs_succeed(self, fuzz_inputs, tmp_path, capsys):
         log, curve = tmp_path / "log.tsv", tmp_path / "curve.csv"
         log.write_bytes(fuzz_inputs[0])
@@ -455,6 +478,8 @@ class TestMutatedInputs:
         assert self.exits_cleanly(capsys, "ingest", "--in", str(log), "--out", out) == 0
         assert self.exits_cleanly(capsys, "evaluate", "--in", str(log), "--out", out) == 0
         assert self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", out) == 0
+        for argv in self.log_commands(log, out):
+            assert self.exits_cleanly(capsys, *argv) == 0
 
     @fuzz
     @given(data=st.data())
@@ -476,3 +501,11 @@ class TestMutatedInputs:
         curve = tmp_path / "curve.csv"
         curve.write_bytes(data.draw(mutated(fuzz_inputs[1])))
         self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", str(tmp_path / "out"))
+
+    @fuzz
+    @given(data=st.data())
+    def test_other_log_commands(self, fuzz_inputs, tmp_path, capsys, data):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        for argv in self.log_commands(log, str(tmp_path / "out")):
+            self.exits_cleanly(capsys, *argv)

@@ -8,7 +8,7 @@ import struct
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from driftcf.cli import main
@@ -196,20 +196,25 @@ class TestRowSqSums:
             checked += bool(np.any(np.diff(model.matrix.indptr) == 0))
 
 
+def model_arrays(model) -> tuple[np.ndarray, ...]:
+    m = model.matrix
+    return m.indptr, m.indices, m.data, model.user_counts, model.row_sq_sums
+
+
 class TestCache:
-    def test_round_trip(self, tmp_path):
-        rng = random.Random(99)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(rng=st.randoms(use_true_random=False))
+    def test_round_trip(self, tmp_path, rng):
         train = random_dataset(rng)
-        while train.n_ratings == 0:
-            train = random_dataset(rng)
+        assume(train.n_ratings > 0)
         model = build_similarity(train)
         path = str(tmp_path / "sim.bin")
         save_cache(model, path, train.content_hash())
         loaded = load_cache(path, train.content_hash())
-        assert loaded.n_items == model.n_items
-        assert np.array_equal(loaded.user_counts, model.user_counts)
-        assert (loaded.matrix != model.matrix).nnz == 0
-        assert np.allclose(loaded.row_sq_sums, model.row_sq_sums, atol=0, rtol=1e-15)
+        assert loaded.matrix.shape == model.matrix.shape
+        for got, built in zip(model_arrays(loaded), model_arrays(model)):
+            assert got.dtype == built.dtype
+            assert got.tobytes() == built.tobytes()
 
     def test_mismatched_hash_refused(self, tmp_path):
         train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
@@ -248,73 +253,74 @@ class TestCache:
             load_cache(str(path), train.content_hash())
 
 
-# Byte offsets of the cache layout: magic (6), version (2), digest (32),
-# item count (4); then per item: index, user count, entry count (u4 each)
-# and entry count x (j u4, s f8).
-CACHE_HEADER_SIZE = 44
+# The cache layout, little-endian: magic (6), version (2), digest (32), item
+# count (4) and entry count (8); then user counts and row lengths (u4 per
+# item), column indices (u4 per entry) and similarities (f8 per entry).
+CACHE_HEADER = struct.Struct("<6sH32sIQ")
+CACHE_BLOCKS = ("<u4", "<u4", "<u4", "<f8")
+N_ITEMS_OFFSET, NNZ_OFFSET = 40, 44
 
 
-def cache_records(blob: bytes) -> list[tuple[int, int]]:
-    """(offset, entry count) of every record of a well-formed cache."""
-    (n_items,) = struct.unpack_from("<I", blob, CACHE_HEADER_SIZE - 4)
-    records, off = [], CACHE_HEADER_SIZE
-    for _ in range(n_items):
-        (count,) = struct.unpack_from("<I", blob, off + 8)
-        records.append((off, count))
-        off += 12 + 12 * count
-    return records
+def cache_arrays(blob: bytes) -> list[np.ndarray]:
+    """Writable copies of a well-formed cache's user counts, row lengths,
+    column indices and similarities."""
+    *_head, n_items, nnz = CACHE_HEADER.unpack_from(blob)
+    arrays, off = [], CACHE_HEADER.size
+    for dtype, count in zip(CACHE_BLOCKS, (n_items, n_items, nnz, nnz)):
+        arrays.append(np.frombuffer(blob, dtype, count, off).copy())
+        off += arrays[-1].nbytes
+    return arrays
+
+
+def cache_bytes(blob: bytes, counts, lengths, j, s) -> bytes:
+    """``blob``'s magic, version and digest, then the given arrays under
+    their own item and entry counts."""
+    head = CACHE_HEADER.unpack_from(blob)[:3]
+    arrays = (counts, lengths, j, s)
+    return CACHE_HEADER.pack(*head, len(counts), len(j)) + b"".join(
+        np.asarray(a, dtype).tobytes() for dtype, a in zip(CACHE_BLOCKS, arrays)
+    )
 
 
 def corrupt_cache(blob: bytes, kind: str) -> bytes:
-    out = bytearray(blob)
-    records = cache_records(blob)
-    n_items = len(records)
-    with_two = next(r for r in records if r[1] >= 2)
-    if kind == "item_index_out_of_range":
-        struct.pack_into("<I", out, records[0][0], n_items + 5)
-    elif kind == "swapped_item_indices":
-        struct.pack_into("<I", out, records[0][0], 1)
-        struct.pack_into("<I", out, records[1][0], 0)
+    if kind == "trailing_bytes":
+        return blob + b"\0"
+    counts, lengths, j, s = cache_arrays(blob)
+    n_items = len(counts)
+    starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+    k = next(k for k in range(n_items) if lengths[k] >= 2)  # row k holds two entries or more
+    lo = starts[k]
+    if kind == "row_lengths_not_nnz":
+        lengths[k] += 1
+    elif kind == "entry_moved_between_rows":
+        lengths[k] -= 1
+        lengths[(k + 1) % n_items] += 1
     elif kind == "column_past_n_items":
-        off, count = with_two
-        struct.pack_into("<I", out, off + 12 * count, n_items)
+        j[starts[k + 1] - 1] = n_items
     elif kind == "duplicate_column":
-        off, _count = with_two
-        struct.pack_into("<I", out, off + 24, struct.unpack_from("<I", out, off + 12)[0])
+        j[lo + 1] = j[lo]
     elif kind == "descending_columns":
-        off, _count = with_two
-        first, second = struct.unpack_from("<I", out, off + 12)[0], struct.unpack_from("<I", out, off + 24)[0]
-        struct.pack_into("<I", out, off + 12, second)
-        struct.pack_into("<I", out, off + 24, first)
+        j[lo], j[lo + 1] = j[lo + 1], j[lo]
     elif kind == "nan_similarity":
-        off, _count = with_two
-        struct.pack_into("<d", out, off + 16, float("nan"))
+        s[lo] = float("nan")
     elif kind == "asymmetric_value":
-        off, _count = with_two
-        (s,) = struct.unpack_from("<d", out, off + 16)
-        struct.pack_into("<d", out, off + 16, s / 2)
+        s[lo] /= 2
     elif kind == "similarity_above_one":
-        off, _count = with_two
-        k = records.index(with_two)
-        (j,) = struct.unpack_from("<I", out, off + 12)
-        mirror_off, mirror_count = records[j]
-        cols = [struct.unpack_from("<I", out, mirror_off + 12 + 12 * e)[0] for e in range(mirror_count)]
-        struct.pack_into("<d", out, off + 16, 1.5)
-        struct.pack_into("<d", out, mirror_off + 16 + 12 * cols.index(k), 1.5)
+        mirror = starts[j[lo]] + list(j[starts[j[lo]]:starts[j[lo] + 1]]).index(k)
+        s[lo] = s[mirror] = 1.5
     elif kind == "diagonal_entry":
-        k, (off, count) = next((k, r) for k, r in enumerate(records) if r[1])
-        cols = [struct.unpack_from("<I", blob, off + 12 + 12 * e)[0] for e in range(count)]
-        at = off + 12 + 12 * sum(c < k for c in cols)
-        struct.pack_into("<I", out, off + 8, count + 1)
-        out[at:at] = struct.pack("<Id", k, 0.5)
+        at = lo + int(np.sum(j[lo:starts[k + 1]] < k))
+        j, s = np.insert(j, at, k), np.insert(s, at, 0.5)
+        lengths[k] += 1
     else:
         raise ValueError(kind)
-    return bytes(out)
+    return cache_bytes(blob, counts, lengths, j, s)
 
 
 CORRUPTIONS = (
-    "item_index_out_of_range",
-    "swapped_item_indices",
+    "row_lengths_not_nnz",
+    "entry_moved_between_rows",
+    "trailing_bytes",
     "column_past_n_items",
     "duplicate_column",
     "descending_columns",
@@ -364,12 +370,16 @@ class TestCorruptCache:
 
     def test_huge_item_count_rejected_before_allocating(self, small_cache, tmp_path):
         digest, blob = small_cache
-        out = bytearray(blob)
-        struct.pack_into("<I", out, CACHE_HEADER_SIZE - 4, 2**32 - 1)
-        path = tmp_path / "bad.bin"
-        path.write_bytes(bytes(out))
-        with pytest.raises(CacheFormatError, match="truncated"):
-            load_cache(str(path), digest)
+        # the entry count too: either would ask for more memory than the file holds
+        for fmt, offset, value in (
+            ("<I", N_ITEMS_OFFSET, 2**32 - 1), ("<Q", NNZ_OFFSET, 2**64 - 1),
+        ):
+            out = bytearray(blob)
+            struct.pack_into(fmt, out, offset, value)
+            path = tmp_path / "bad.bin"
+            path.write_bytes(bytes(out))
+            with pytest.raises(CacheFormatError, match="truncated"):
+                load_cache(str(path), digest)
 
     def test_version_one_cache_rejected(self, cli_cache, tmp_path, capsys):
         # version 1 keyed caches by a JSON hash of the tuple profiles
@@ -379,6 +389,24 @@ class TestCorruptCache:
         path = tmp_path / "old.bin"
         path.write_bytes(bytes(out))
         with pytest.raises(CacheFormatError, match="unsupported cache version 1"):
+            load_cache(str(path), blob[8:40].hex())
+        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        assert code == 1
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+
+    def test_version_two_cache_rejected(self, cli_cache, tmp_path, capsys):
+        # version 2 stored one record per item: index, user count, entry
+        # count, then that row's (j u4, s f8) entries
+        log, blob = cli_cache
+        counts, lengths, j, s = cache_arrays(blob)
+        parts = [struct.pack("<6sH32sI", b"DCFSIM", 2, blob[8:40], len(counts))]
+        starts = np.concatenate([[0], np.cumsum(lengths, dtype=np.int64)])
+        for k, (count, length) in enumerate(zip(counts.tolist(), lengths.tolist())):
+            parts.append(struct.pack("<III", k, count, length))
+            parts += [struct.pack("<Id", j[e], s[e]) for e in range(starts[k], starts[k + 1])]
+        path = tmp_path / "old.bin"
+        path.write_bytes(b"".join(parts))
+        with pytest.raises(CacheFormatError, match="unsupported cache version 2"):
             load_cache(str(path), blob[8:40].hex())
         code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
         assert code == 1
@@ -399,17 +427,15 @@ class TestCorruptCache:
     ])
     def test_error_names_the_failing_record(self, cli_cache, tmp_path, kind, entry, defect):
         _log, blob = cli_cache
-        records = cache_records(blob)
-        k = next(k for k in range(len(records) // 2, len(records)) if records[k][1] >= 2)
-        off, count = records[k]
-        at = off + 12 + 12 * (entry % count)  # the record's first or last entry
-        out = bytearray(blob)
+        counts, lengths, j, s = cache_arrays(blob)
+        k = next(k for k in range(len(lengths) // 2, len(lengths)) if lengths[k] >= 2)
+        at = int(lengths[:k].sum()) + entry % int(lengths[k])  # the row's first or last entry
         if kind == "descending_columns":
-            out[at - 12:at - 8], out[at:at + 4] = out[at:at + 4], out[at - 12:at - 8]
+            j[at - 1], j[at] = j[at], j[at - 1]
         else:
-            struct.pack_into("<d", out, at + 4, float("nan") if kind == "nan_similarity" else 1.5)
+            s[at] = float("nan") if kind == "nan_similarity" else 1.5
         path = tmp_path / "bad.bin"
-        path.write_bytes(bytes(out))
+        path.write_bytes(cache_bytes(blob, counts, lengths, j, s))
         with pytest.raises(CacheFormatError, match=f"record {k} {defect}"):
             load_cache(str(path), blob[8:40].hex())
 
