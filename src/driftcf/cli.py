@@ -15,6 +15,7 @@ import io
 import json
 import os
 import sys
+import time
 from typing import Sequence
 
 import numpy as np
@@ -111,16 +112,17 @@ def _parse_n_list(text: str) -> list[int]:
     return ns
 
 
-def _parse_range(text: str, flag: str) -> tuple[float, float]:
+def _parse_range(text: str) -> tuple[float, float]:
+    """A breakpoint range flag's value; argparse names the flag in its error."""
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise ValueError(f"{flag} expects LO:HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
     try:
         pair = (float(lo), float(hi))
     except ValueError:
-        raise ValueError(f"{flag} expects numeric LO:HI, got {text!r}") from None
-    if not 0 < pair[0] <= pair[1]:
-        raise ValueError(f"{flag} expects 0 < LO <= HI, got {text!r}")
+        raise argparse.ArgumentTypeError(f"expected numeric LO:HI, got {text!r}") from None
+    if not 0 < pair[0] <= pair[1] < np.inf:
+        raise argparse.ArgumentTypeError(f"expected finite 0 < LO <= HI, got {text!r}")
     return pair
 
 
@@ -219,8 +221,10 @@ def _cmd_fit_trend(args) -> int:
     if args.grid_points < 1:
         raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
     curve = _read_curve_csv(args.curve)
-    ts_grid = np.geomspace(*args.ts_range, args.grid_points)
-    tl_grid = np.geomspace(*args.tl_range, args.grid_points)
+    # geomspace's steps may overflow near the largest float; it sets both ends exactly
+    with np.errstate(over="ignore"):
+        ts_grid = np.geomspace(*args.ts_range, args.grid_points)
+        tl_grid = np.geomspace(*args.tl_range, args.grid_points)
     fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
     _emit(args.out, _json_text(dataclasses.asdict(fit)))
     return 0
@@ -248,9 +252,11 @@ def _cmd_evaluate(args) -> int:
     n_list = _parse_n_list(args.n)
     train, probes = split_leave_latest(dataset)
     model = _model_for(train, args.sim_cache)
+    started = time.perf_counter()
     report = evaluate_split(train, probes, model, spec, n_list)
+    elapsed = time.perf_counter() - started
     _emit(args.out, _json_text(_report_json(report, args.normalize_hitrate)))
-    print(f"note: evaluated in {report.wall_time_s:.2f}s", file=sys.stderr)
+    print(f"note: evaluated in {elapsed:.2f}s", file=sys.stderr)
     return 0
 
 
@@ -341,12 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit-trend", help="fit the piecewise trend to a curve CSV")
     p.add_argument("--curve", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument(
-        "--ts-range", type=lambda s: _parse_range(s, "--ts-range"), default=DEFAULT_TS_GRID_RANGE
-    )
-    p.add_argument(
-        "--tl-range", type=lambda s: _parse_range(s, "--tl-range"), default=DEFAULT_TL_GRID_RANGE
-    )
+    p.add_argument("--ts-range", type=_parse_range, default=DEFAULT_TS_GRID_RANGE)
+    p.add_argument("--tl-range", type=_parse_range, default=DEFAULT_TL_GRID_RANGE)
     p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.set_defaults(func=_cmd_fit_trend)
 

@@ -93,8 +93,10 @@ class Logistic(_Spec):
     b: float = _param("b", None, default=5.0)
 
     def weight(self, age: np.ndarray) -> np.ndarray:
-        x = age / self.t_g - self.b
-        # 1 / (1 + e^x), evaluated without overflow for large x
+        # 1 / (1 + e^x), evaluated without overflow for large x; a tiny t_g
+        # overflows x itself to inf, whose weight 0 is the exact limit
+        with np.errstate(over="ignore"):
+            x = age / self.t_g - self.b
         z = np.exp(-np.abs(x))
         return np.where(x >= 0, z / (1.0 + z), 1.0 / (1.0 + z))
 
@@ -107,7 +109,9 @@ class Exponential(_Spec):
     t_e: float = _param("Te", "positive", (1.0, 1e8))
 
     def weight(self, age: np.ndarray) -> np.ndarray:
-        return np.exp(-age / self.t_e)
+        # a tiny t_e overflows age / t_e to inf, whose weight 0 is the exact limit
+        with np.errstate(over="ignore"):
+            return np.exp(-age / self.t_e)
 
 
 @dataclass(frozen=True)
@@ -157,9 +161,11 @@ class Piecewise(_Spec):
 
     def weight(self, age: np.ndarray) -> np.ndarray:
         t = np.maximum(age, PIECEWISE_AGE_FLOOR)
-        # each factor is exactly 1 outside its own branch, as t_s <= t_l
+        # each factor is exactly 1 outside its own branch, as t_s <= t_l; a
+        # tiny t_l overflows t / t_l to inf, whose factor 0 is the exact limit
         short = (np.minimum(t, self.t_s) / self.t_s) ** -self.k_s
-        return short * (np.maximum(t, self.t_l) / self.t_l) ** -self.k_l
+        with np.errstate(over="ignore"):
+            return short * (np.maximum(t, self.t_l) / self.t_l) ** -self.k_l
 
 
 DecaySpec = Constant | Window | Logistic | Exponential | Outraday | Piecewise

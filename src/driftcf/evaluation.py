@@ -15,7 +15,6 @@ reported alongside for comparison with conventions that omit it.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -41,7 +40,6 @@ class DepthResult:
 class EvalReport:
     decay: str
     evaluated_users: int
-    wall_time_s: float
     results: list[DepthResult]
 
     def at(self, n: int) -> DepthResult:
@@ -74,7 +72,7 @@ def _evaluate_specs(
     specs: Sequence[DecaySpec],
     n_list: Sequence[int],
 ) -> list[EvalReport]:
-    """One report per spec, from one pass over the users timed as a whole."""
+    """One report per spec, from one pass over the users."""
     depths = list(n_list)
     for n in depths:
         if n < 1:
@@ -82,17 +80,15 @@ def _evaluate_specs(
     users = probes.evaluated_users
     if not users:
         raise ValueError("no evaluable users: every profile has fewer than 2 ratings")
-    started = time.perf_counter()
     depth_col = np.array(depths)[:, None]
     hits = np.zeros((len(depths), len(specs)), dtype=np.int64)
     for u in users:
         probe_item, probe_time = probes.probes[u]
         ranks = probe_ranks(train, model, u, probe_time, probe_item, specs)
         hits += (ranks > 0) & (ranks <= depth_col)
-    elapsed = time.perf_counter() - started
     count = len(users)
     return [
-        EvalReport(format_decay(spec), count, elapsed, [
+        EvalReport(format_decay(spec), count, [
             DepthResult(n, h, h / (count * n), h / count) for n, h in zip(depths, spec_hits)
         ])
         for spec, spec_hits in zip(specs, hits.T.tolist())

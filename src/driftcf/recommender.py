@@ -4,17 +4,19 @@ A candidate item j is scored for user a at query time t_now by
 
     f_aj = sum over rated items i of  w(t_now - t_ai) * s_ij,
 
-summed over the user's training profile.  Only items reachable through at
-least one nonzero similarity are candidates; unreachable items score
-exactly zero and are never ranked.  A profile's similarity rows do not
-depend on the decay, so ``probe_ranks`` ranks a probe under many specs
-from one gather.  The gathers and sums run in scipy's private compiled
-``_sparsetools`` kernels, which add the terms in profile order; no other
-module calls them.
+summed over the user's training profile.  A candidate is an item outside
+the profile whose score is nonzero; every other item scores exactly zero
+and is never ranked.  A profile's similarity rows do not depend on the
+decay, so ``probe_ranks`` ranks a probe under many specs from one gather,
+and ``score_items`` is the one-spec case of the same score block.  The
+gathers and sums run in scipy's private compiled ``_sparsetools``
+kernels, which add the terms in profile order; no other module calls
+them.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -41,6 +43,12 @@ class ScoreVector:
     scores: np.ndarray
 
 
+# Per-thread row-gather buffers that scoring reuses from one query to the
+# next: a fresh block per query faults in every page it touches whenever
+# the allocator maps it anew, as glibc does above its mmap threshold.
+_scratch = threading.local()
+
+
 def _gather(
     train: Dataset, model: SimilarityModel, user: int, t_now: int
 ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -48,8 +56,8 @@ def _gather(
     the ages of its ratings at ``t_now``, and the transposed similarity rows
     as the CSC arrays ``(indptr, indices, data)`` of an items x profile
     matrix, one column per rating in profile order.  One ``csr_row_index``
-    call copies the rows into this thread's ``model.scratch`` buffers, kept
-    in the matrix's index dtype and overwritten by the next call.  Raises
+    call copies the rows into this thread's ``_scratch`` buffers, kept in
+    the matrix's index dtype and overwritten by the next call.  Raises
     ValueError for an unknown user, an empty training profile, a profile
     item outside the model, or a query time before one of its ratings or
     above 2**63 - 1.
@@ -77,26 +85,30 @@ def _gather(
     indptr = np.zeros(len(rows) + 1, m.indices.dtype)
     np.cumsum(m.indptr[rows + 1] - m.indptr[rows], out=indptr[1:])
     n = int(indptr[-1])
-    scratch = model.scratch
-    fits = hasattr(scratch, "data") and len(scratch.data) >= n
-    if not fits or scratch.indices.dtype != indptr.dtype:
-        scratch.indices, scratch.data = np.empty(2 * n, indptr.dtype), np.empty(2 * n)
-        scratch.ones = np.ones(2 * n)
-    indices, data = scratch.indices[:n], scratch.data[:n]
+    fits = hasattr(_scratch, "data") and len(_scratch.data) >= n
+    if not fits or _scratch.indices.dtype != indptr.dtype:
+        _scratch.indices, _scratch.data = np.empty(2 * n, indptr.dtype), np.empty(2 * n)
+    indices, data = _scratch.indices[:n], _scratch.data[:n]
     _sparsetools.csr_row_index(len(rows), rows, m.indptr, m.indices, m.data, indices, data)
     return prof_items, ages, (indptr, indices, data)
 
 
-def _product(indptr, indices, data, weights: np.ndarray, n_items: int) -> np.ndarray:
-    """The n_items x L block ``gathered @ weights`` for a P x L weight block,
-    each rating's column added in profile order.  A one-column
-    ``csc_matvecs`` gives the bits of ``csc_matvec`` at half the speed."""
-    (n_cols, n_vecs), out = weights.shape, np.zeros((n_items, weights.shape[1]))
-    arrays = (indptr, indices, data, weights.ravel(), out.ravel())
-    if n_vecs == 1:
-        _sparsetools.csc_matvec(n_items, n_cols, *arrays)
+def _scores(gathered, prof_items, ages, specs: Sequence[DecaySpec], n_items: int) -> np.ndarray:
+    """The n_items x L score block of L specs: the gathered rows times the
+    P x L weight block of the profile's ages, each rating's column added in
+    profile order by ``csc_matvec`` (one spec) or ``csc_matvecs`` (several;
+    one column of it gives the same bits at half the speed).  The profile's
+    own items are zeroed, as they are never candidates."""
+    weights = np.empty((len(ages), len(specs)))
+    for k, spec in enumerate(specs):
+        weights[:, k] = spec.weight(ages)
+    out = np.zeros((n_items, len(specs)))
+    arrays = (*gathered, weights.ravel(), out.ravel())
+    if len(specs) == 1:
+        _sparsetools.csc_matvec(n_items, len(ages), *arrays)
     else:
-        _sparsetools.csc_matvecs(n_items, n_cols, n_vecs, *arrays)
+        _sparsetools.csc_matvecs(n_items, len(ages), len(specs), *arrays)
+    out[prof_items] = 0.0
     return out
 
 
@@ -109,20 +121,14 @@ def score_items(
 ) -> ScoreVector:
     """Score all candidate items for ``user`` as of ``t_now`` under one spec.
 
-    A candidate is an item outside the profile that a gathered entry
-    reaches, whatever its weight: the same kernel counts entries over a
-    buffer of ones, so ``Window`` keeps reachable items at exactly 0.
-    Raises ValueError as ``_gather`` does.
+    The candidates are the items whose score is nonzero; the rest score
+    exactly 0 and can be neither recommended nor ranked.  Raises
+    ValueError as ``_gather`` does.
     """
-    prof_items, ages, (indptr, indices, data) = _gather(train, model, user, t_now)
-    weights = np.empty((len(ages), 1))
-    weights[:, 0] = spec.weight(ages)
-    totals = _product(indptr, indices, data, weights, model.n_items)[:, 0]
-    ones = model.scratch.ones[:len(data)]
-    reachable = _product(indptr, indices, ones, np.ones_like(weights), model.n_items)[:, 0] > 0
-    reachable[prof_items] = False
-    candidates = np.flatnonzero(reachable)
-    return ScoreVector(user, t_now, candidates, totals[candidates])
+    prof_items, ages, gathered = _gather(train, model, user, t_now)
+    scores = _scores(gathered, prof_items, ages, [spec], model.n_items)[:, 0]
+    candidates = np.flatnonzero(scores)
+    return ScoreVector(user, t_now, candidates, scores[candidates])
 
 
 # Specs scored per product in probe_ranks; bounds the dense items x chunk
@@ -141,12 +147,10 @@ def probe_ranks(
     """The probe's rank under each spec, as int64, 0 where it is unranked.
 
     Equal to ``probe_rank(score_items(...))`` per spec, with None as 0: the
-    profile's similarity rows are gathered once and every spec is scored by
-    one (items x P) @ (P x specs) kernel product per chunk of ``SPEC_CHUNK``
-    specs, ``csc_matvec`` for a chunk of one and ``csc_matvecs`` otherwise.
-    Both add each rating's column in profile order as ``score_items`` does,
-    so the scores agree bit for bit.  A probe outside the item range is
-    unranked.  Raises ValueError as ``score_items`` does.
+    profile's similarity rows are gathered once and scored by the same
+    ``_scores`` block as ``score_items``, one chunk of ``SPEC_CHUNK`` specs
+    at a time, so the scores agree bit for bit.  A probe outside the item
+    range is unranked.  Raises ValueError as ``score_items`` does.
     """
     prof_items, ages, gathered = _gather(train, model, user, t_now)
     ranks = np.zeros(len(specs), dtype=np.int64)
@@ -154,12 +158,7 @@ def probe_ranks(
         return ranks
     for lo in range(0, len(specs), SPEC_CHUNK):
         chunk = specs[lo:lo + SPEC_CHUNK]
-        weights = np.empty((len(ages), len(chunk)))
-        for k, spec in enumerate(chunk):
-            weights[:, k] = spec.weight(ages)
-        scores = _product(*gathered, weights, model.n_items)
-        # the user's own items are never candidates; unreachable ones score 0
-        scores[prof_items] = 0.0
+        scores = _scores(gathered, prof_items, ages, chunk, model.n_items)
         p = scores[probe_item]
         ahead = np.count_nonzero(scores > p, axis=0)
         ahead += np.count_nonzero(scores[:probe_item] == p, axis=0)

@@ -17,8 +17,7 @@ and safe for concurrent reads.
 from __future__ import annotations
 
 import struct
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -61,10 +60,6 @@ class SimilarityModel:
     matrix: sp.csr_matrix
     user_counts: np.ndarray
     row_sq_sums: np.ndarray
-    # Per-thread row-gather buffers that scoring reuses from one query to the
-    # next: a fresh block per query faults in every page it touches whenever
-    # the allocator maps it anew, as glibc does above its mmap threshold.
-    scratch: threading.local = field(default_factory=threading.local, init=False, repr=False)
 
     @property
     def n_items(self) -> int:

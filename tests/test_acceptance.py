@@ -37,6 +37,7 @@ from driftcf.temporal import (
     collect_ssnr_ages,
     compute_ssnr,
     fit_piecewise_trend,
+    log_bin_average,
 )
 import numpy as np
 
@@ -328,6 +329,29 @@ def test_planted_drift_recovery():
         )
         elapsed = time.perf_counter() - started
         assert elapsed < 300.0, f"planted-drift criterion took {elapsed:.0f}s"
+
+
+def test_fitted_trend_decay_out_of_sample():
+    # the paper's loop: the ssnr trend fitted on one log is the piecewise
+    # decay that scores another, so the fit never reads the probes it ranks
+    with criterion("fitted-trend-decay"):
+        started = time.perf_counter()
+        splits = [
+            prepare_evaluation(preprocess(generate_synthetic(SyntheticConfig(seed=seed))))
+            for seed in range(5)
+        ]
+        fitted_hits = constant_hits = 0
+        for k, (train, probes, model) in enumerate(splits):
+            samples, _exclusions = collect_ssnr_ages(train, probes, model)
+            fit = fit_piecewise_trend(log_bin_average(samples))
+            spec = Piecewise(fit.t_s, fit.t_l, fit.k_s, fit.k_l)
+            scored = splits[(k + 1) % len(splits)]
+            fitted_hits += evaluate_split(*scored, spec, [10]).at(10).hits
+            constant_hits += evaluate_split(*scored, Constant(), [10]).at(10).hits
+        print(f"  H@10 hits: fitted piecewise {fitted_hits}, constant {constant_hits}", flush=True)
+        assert fitted_hits >= 1.2 * constant_hits
+        elapsed = time.perf_counter() - started
+        assert elapsed < 120.0, f"fitted-trend criterion took {elapsed:.0f}s"
 
 
 def test_cli_determinism(tmp_path):

@@ -1,18 +1,34 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
+import dataclasses
 import json
+import warnings
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from driftcf.cli import main
+from driftcf.decay import FAMILIES
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_any_exit(capsys, *argv):
+    """Exit code, stderr and the RuntimeWarning messages of one run, usage
+    errors (argparse's exit 2) included."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
+    return code, capsys.readouterr().err, runtime
 
 
 @pytest.fixture()
@@ -216,6 +232,23 @@ class TestFitTrend:
         assert code == 1
         assert "header" in err
 
+    @pytest.mark.parametrize("flag", ["--ts-range", "--tl-range"])
+    @pytest.mark.parametrize("value, defect", [
+        ("5:1", "expected finite 0 < LO <= HI"),
+        ("0:1", "expected finite 0 < LO <= HI"),
+        ("1:inf", "expected finite 0 < LO <= HI"),
+        ("abc", "expected LO:HI"),
+    ])
+    def test_bad_range_is_a_usage_error_naming_its_flag(self, tmp_path, capsys, flag, value, defect):
+        curve = tmp_path / "curve.csv"
+        curve.write_text("age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n")
+        code, err, runtime_warnings = run_any_exit(
+            capsys, "fit-trend", "--curve", str(curve), f"{flag}={value}"
+        )
+        assert code == 2
+        assert f"argument {flag}: {defect}, got {value!r}" in err
+        assert runtime_warnings == []
+
     @pytest.mark.parametrize("points", ["0", "-1"])
     def test_grid_points_below_one_rejected(self, tmp_path, capsys, points):
         curve = tmp_path / "curve.csv"
@@ -242,6 +275,19 @@ class TestRecommend:
         scores = [r["score"] for r in results]
         assert scores == sorted(scores, reverse=True)
         assert all(set(r) == {"item", "score"} for r in results)
+
+    @pytest.mark.parametrize("decay", [
+        "exp:Te=1e-320", "logistic:Tg=1e-300", "piecewise:Ts=1e-320,Tl=1e-320,Ks=1,Kl=1",
+    ])
+    def test_tiny_time_scale_warns_nothing(self, small_log, capsys, decay):
+        # weights past one second overflow to their exact limit, 0
+        code, err, runtime_warnings = run_any_exit(
+            capsys, "recommend", "--in", str(small_log), "--user", "u0001",
+            "--at", "9000000000", "--decay", decay,
+        )
+        assert code == 0
+        assert runtime_warnings == []
+        assert "Warning" not in err
 
     def test_unknown_user(self, small_log, capsys):
         code, _out, err = run(
@@ -509,3 +555,130 @@ class TestMutatedInputs:
         log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
         for argv in self.log_commands(log, str(tmp_path / "out")):
             self.exits_cleanly(capsys, *argv)
+
+
+# Flag values.  Each flag draws a well-formed value three times in four, so
+# that runs get past argument parsing; ``junk`` is any float, any integer up
+# to 1e20, or short text.
+magnitudes = st.floats(1e-320, 1e308, allow_subnormal=True)
+junk = st.one_of(
+    st.floats(allow_subnormal=True).map(repr),
+    st.integers(-(10**20), 10**20).map(str),
+    st.sampled_from(["0", "-1"]),
+    st.text(max_size=6),
+)
+
+
+def mostly(valid):
+    """``valid`` three draws in four, ``junk`` otherwise."""
+    return st.integers(0, 3).flatmap(lambda k: valid if k else junk)
+
+
+floats = mostly(magnitudes.map(repr))
+ints = mostly(st.integers(1, 100).map(str))
+# LO:HI pairs of any magnitude, and pairs among the ages of a curve
+ranges = mostly(
+    st.one_of(magnitudes, st.floats(1.0, 1e9)).flatmap(
+        lambda lo: st.floats(lo, max(lo, 1e9) * 1e3).map(lambda hi: f"{lo!r}:{hi!r}")
+    )
+)
+depth_lists = mostly(
+    st.lists(st.integers(1, 100).map(str), min_size=1, max_size=3).map(",".join)
+)
+
+
+def grid_points(most: int):
+    """--grid-points values: an integer up to ``most``, or no integer at all
+    (a larger grid costs time and memory, not a new exit path)."""
+
+    def not_above(text: str) -> bool:
+        try:
+            return int(text) <= most
+        except ValueError:
+            return True
+
+    return mostly(st.integers(1, most).map(str)).filter(not_above)
+
+
+@st.composite
+def decay_strings(draw) -> str:
+    """A spec string of any family, each parameter of magnitude 1e-320 to 1e308."""
+    cls = draw(st.sampled_from(list(FAMILIES.values())))
+    params = ",".join(
+        f"{f.metadata['key']}={draw(st.sampled_from([1, 1, 1, -1])) * draw(magnitudes)!r}"
+        for f in dataclasses.fields(cls)
+    )
+    return f"{cls.family}:{params}" if params else cls.family
+
+
+class TestFuzzedFlags:
+    """Any flag value ends in exit 0, 1 or 2 with a named error: no
+    traceback and no numpy RuntimeWarning."""
+
+    fuzz = settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+
+    @staticmethod
+    def exits_cleanly(capsys, *argv) -> int:
+        code, err, runtime_warnings = run_any_exit(capsys, *argv)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        assert runtime_warnings == []
+        if code:
+            assert "error:" in err
+        return code
+
+    @fuzz
+    @given(ts=ranges, tl=ranges, points=grid_points(30))
+    @example(ts="1:inf", tl="5e5:5e7", points="20")
+    def test_fit_trend(self, fuzz_inputs, tmp_path, capsys, ts, tl, points):
+        curve = tmp_path / "curve.csv"
+        curve.write_bytes(fuzz_inputs[1])
+        self.exits_cleanly(
+            capsys, "fit-trend", "--curve", str(curve), "--out", str(tmp_path / "out"),
+            f"--ts-range={ts}", f"--tl-range={tl}", f"--grid-points={points}",
+        )
+
+    @fuzz
+    @given(bin_ratio=floats, age_min=floats)
+    def test_analyze_ssnr(self, fuzz_inputs, tmp_path, capsys, bin_ratio, age_min):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(fuzz_inputs[0])
+        self.exits_cleanly(
+            capsys, "analyze-ssnr", "--in", str(log), "--curve-out", str(tmp_path / "out"),
+            f"--bin-ratio={bin_ratio}", f"--age-min={age_min}",
+        )
+
+    @fuzz
+    @given(decay=decay_strings(), n=ints)
+    @example(decay="exp:Te=1e-320", n="10")
+    @example(decay="logistic:Tg=1e-300,b=5.0", n="10")
+    def test_recommend(self, fuzz_inputs, tmp_path, capsys, decay, n):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(fuzz_inputs[0])
+        self.exits_cleanly(
+            capsys, "recommend", "--in", str(log), "--user", "u0014", "--at", "9000000000",
+            "--out", str(tmp_path / "out"), f"--decay={decay}", f"--n={n}",
+        )
+
+    @fuzz
+    @given(decay=decay_strings(), n=depth_lists)
+    @example(decay="exp:Te=1e-320", n="10,20,50")
+    def test_evaluate(self, fuzz_inputs, tmp_path, capsys, decay, n):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(fuzz_inputs[0])
+        self.exits_cleanly(
+            capsys, "evaluate", "--in", str(log), "--out", str(tmp_path / "out"),
+            f"--decay={decay}", f"--n={n}",
+        )
+
+    @fuzz
+    @given(points=grid_points(2), n=depth_lists, objective=ints)
+    def test_sweep(self, fuzz_inputs, tmp_path, capsys, points, n, objective):
+        log = tmp_path / "log.tsv"
+        log.write_bytes(fuzz_inputs[0])
+        self.exits_cleanly(
+            capsys, "sweep", "--in", str(log), "--table-out", str(tmp_path / "out"),
+            f"--grid-points={points}", f"--n={n}", f"--objective-n={objective}",
+        )

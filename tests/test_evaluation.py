@@ -141,7 +141,7 @@ class TestEvaluate:
         assert [(r.n, r.hits, r.hit_rate) for r in report.results] == [(1, 10, 1.0)] * 2
 
     def test_report_lookup(self):
-        report = EvalReport("constant", 3, 0.0, [])
+        report = EvalReport("constant", 3, [])
         with pytest.raises(KeyError):
             report.at(10)
 

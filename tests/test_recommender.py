@@ -98,13 +98,14 @@ class TestScoreItems:
         profile_items = {i for i, _t in train.profiles[u]}
         assert not profile_items & set(scores_dict(sv))
 
-    def test_window_keeps_reachable_zero_score_candidates(self):
+    def test_window_zero_score_items_are_not_candidates(self):
+        # item 1 is reachable, but the window scores it exactly 0
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 0] = 0.4
         model = model_from_dense(dense)
         train = train_with_profiles(3, [[(0, 100)]])
         sv = score_items(train, model, 0, 10**9, Window(10.0))
-        assert scores_dict(sv) == {1: 0.0}
+        assert scores_dict(sv) == {}
         assert top_n(sv, 5) == []
 
     def test_unknown_user_rejected(self):
@@ -278,7 +279,7 @@ class TestIbcfEquivalence:
 
 
 # One spec per family; Window points below the profile's ages weigh every
-# rating zero, so reachable candidates score exactly 0.
+# rating zero, so reachable items score exactly 0 and are no candidates.
 spec_strategy = st.one_of(
     st.just(Constant()),
     st.floats(1.0, 2e6).map(Window),
@@ -323,7 +324,7 @@ class TestProbeRanks:
             assert_ranks_match(train, model, u, t_now, range(-1, train.n_items + 1), specs)
 
     def test_threads_scoring_at_once_match_one_thread(self):
-        # each thread gathers similarity rows into model.scratch buffers of its own
+        # each thread gathers similarity rows into scratch buffers of its own
         rng = random.Random(61)
         _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
         model = build_similarity(train)
@@ -421,7 +422,9 @@ class TestKernelScoring:
             expected = profile_order_scores(
                 train, model, u, t_now, lambda age: factor * eval_decay(spec, age)
             )
-            assert scores_dict(score_items(train, model, u, t_now, scaled)) == expected
+            # the candidates are exactly the oracle's nonzero scores
+            nonzero = {j: f for j, f in expected.items() if f != 0.0}
+            assert scores_dict(score_items(train, model, u, t_now, scaled)) == nonzero
 
     def test_int64_index_model_scores_bit_for_bit(self):
         rng = random.Random(71)
@@ -431,18 +434,21 @@ class TestKernelScoring:
         assert wide.matrix.indices.dtype == wide.matrix.indptr.dtype == np.int64
         one = [Piecewise(5e4, 1e6, 0.6, 0.3)]
         many = [Constant(), Window(1e5), Exponential(5e4), *one]
-        for u in probes.evaluated_users:
-            probe, t_now = probes.probes[u]
-            a, b = (score_items(train, m, u, t_now, one[0]) for m in (narrow, wide))
-            assert a.items.tobytes() == b.items.tobytes()
-            assert a.scores.tobytes() == b.scores.tobytes()
-            for specs in (one, many):
-                for item in (probe, *a.items[:3].tolist()):
-                    expected = probe_ranks(train, narrow, u, t_now, item, specs).tolist()
-                    assert probe_ranks(train, wide, u, t_now, item, specs).tolist() == expected
-        # each model's rows were gathered in its own index dtype
-        assert narrow.scratch.indices.dtype == np.int32
-        assert wide.scratch.indices.dtype == np.int64
+
+        def queries(model, index_dtype):
+            out = []
+            for u in probes.evaluated_users:
+                probe, t_now = probes.probes[u]
+                sv = score_items(train, model, u, t_now, one[0])
+                out.append((sv.items.tobytes(), sv.scores.tobytes()))
+                for specs in (one, many):
+                    for item in (probe, *sv.items[:3].tolist()):
+                        out.append(probe_ranks(train, model, u, t_now, item, specs).tolist())
+                # the rows were gathered in the model's own index dtype
+                assert recommender._scratch.indices.dtype == index_dtype
+            return out
+
+        assert queries(wide, np.int64) == queries(narrow, np.int32)
 
     @pytest.mark.parametrize("item", [3, 7])
     def test_profile_item_outside_the_model_rejected_before_any_kernel(self, monkeypatch, item):
