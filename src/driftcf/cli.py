@@ -40,7 +40,7 @@ from .evaluation import (
     grid_sweep,
 )
 from .recommender import score_items, top_n
-from .similarity import build_similarity, load_cache, save_cache
+from .similarity import CacheFormatError, build_similarity, load_cache, save_cache
 from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
     DEFAULT_AGE_MIN,
@@ -164,12 +164,16 @@ def _read_curve_csv(path: str) -> BinnedCurve:
             raise ValueError(f"{path}: line {n}: {exc}") from None
     if not bins:
         raise ValueError(f"{path}: curve has no bins")
-    return BinnedCurve(tuple(bins), bins[0].age_hi / bins[0].age_lo, bins[0].age_lo)
+    return BinnedCurve(tuple(bins))
 
 
 def _model_for(train, cache_path: str | None):
     if cache_path and os.path.exists(cache_path):
         model = load_cache(cache_path, train.content_hash())
+        if model.n_items != train.n_items:
+            raise CacheFormatError(
+                f"{cache_path}: cache holds {model.n_items} items, the training set {train.n_items}"
+            )
         print(f"note: loaded similarity cache {cache_path}", file=sys.stderr)
         return model
     model = build_similarity(train)

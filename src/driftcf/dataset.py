@@ -75,6 +75,8 @@ class LogFormat:
     columns: tuple[str, str, str] = ("user", "item", "timestamp")
 
     def __post_init__(self) -> None:
+        if not self.delimiter:
+            raise ValueError(f"delimiter must be a non-empty string, got {self.delimiter!r}")
         if sorted(self.columns) != ["item", "timestamp", "user"]:
             raise ValueError(
                 "columns must be a permutation of (user, item, timestamp), "

@@ -37,8 +37,6 @@ class ScoreVector:
     ``items`` (including the user's own profile) score exactly zero.
     """
 
-    user: int
-    t_now: int
     items: np.ndarray
     scores: np.ndarray
 
@@ -128,7 +126,7 @@ def score_items(
     prof_items, ages, gathered = _gather(train, model, user, t_now)
     scores = _scores(gathered, prof_items, ages, [spec], model.n_items)[:, 0]
     candidates = np.flatnonzero(scores)
-    return ScoreVector(user, t_now, candidates, scores[candidates])
+    return ScoreVector(candidates, scores[candidates])
 
 
 # Specs scored per product in probe_ranks; bounds the dense items x chunk

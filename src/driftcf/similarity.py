@@ -10,14 +10,17 @@ denominators sum over entire rows.
 Co-rating counts are accumulated through user profiles (cost proportional
 to the sum of squared profile lengths), realized as the sparse product
 R^T R of the binary user-item matrix, whose CSR arrays are the training
-set's own ``indptr`` and item column.  The finished model is immutable
-and safe for concurrent reads.
+set's own ``indptr`` and item column.  The product is symmetric, so
+converting it to CSR sorts it; its diagonal, the rater counts, is
+subtracted before scaling.  The finished model is immutable and safe for
+concurrent reads.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -50,16 +53,25 @@ class CacheMismatchError(ValueError):
 
 @dataclass
 class SimilarityModel:
-    """Symmetric sparse similarity matrix with per-item caches.
+    """Symmetric sparse similarity matrix and per-item rater counts.
 
-    ``matrix`` is items x items CSR with zero diagonal and sorted indices;
-    ``user_counts[i]`` is the number of distinct users who rated i;
-    ``row_sq_sums[i]`` caches the sum of squared entries of row i.
+    ``matrix`` is items x items canonical CSR (sorted, no duplicate) with no
+    diagonal entry; ``user_counts[i]`` counts the users who rated i.
     """
 
     matrix: sp.csr_matrix
     user_counts: np.ndarray
-    row_sq_sums: np.ndarray
+
+    @cached_property
+    def row_sq_sums(self) -> np.ndarray:
+        """Each row's sum of squared entries in stored order, computed on the
+        first read (racing first reads compute equal arrays); exactly 0 for an
+        empty row, where reduceat alone gives the next row's first."""
+        m = self.matrix
+        sums = np.zeros(m.shape[0])
+        nonempty = np.diff(m.indptr) > 0
+        sums[nonempty] = np.add.reduceat(m.data * m.data, m.indptr[:-1][nonempty])
+        return sums
 
     @property
     def n_items(self) -> int:
@@ -101,32 +113,17 @@ def build_similarity(train: Dataset) -> SimilarityModel:
         raise ValueError("cannot build similarity model from an empty training set")
     n_items = train.n_items
     ratings = sp.csr_matrix(
-        (np.ones(train.n_ratings), train.ratings[:, 0], train.indptr),
-        shape=(train.n_users, n_items),
+        (np.ones(train.n_ratings), train.ratings[:, 0], train.indptr), shape=(train.n_users, n_items)
     )
-    counts = np.asarray(ratings.getnnz(axis=0), dtype=np.int64)
-
-    co = (ratings.T @ ratings).tocoo()
-    inv_sqrt = np.zeros(n_items)
-    rated = counts > 0
-    inv_sqrt[rated] = 1.0 / np.sqrt(counts[rated])
-    off_diag = co.row != co.col
-    r, c = co.row[off_diag], co.col[off_diag]
+    # the product is CSC and symmetric, so converting it sorts every row
+    co = (ratings.T @ ratings).tocsr()
+    counts = co.diagonal().astype(np.int64)
+    matrix = co - sp.diags(counts, format="csr", dtype=np.float64)
+    del co
+    inv_sqrt = np.divide(1.0, np.sqrt(counts), out=np.zeros(n_items), where=counts > 0)
     # multiply the two scale factors first so s_ij == s_ji bit for bit
-    data = co.data[off_diag] * (inv_sqrt[r] * inv_sqrt[c])
-    matrix = sp.csr_matrix((data, (r, c)), shape=(n_items, n_items))
-    matrix.sum_duplicates()
-    matrix.sort_indices()
-    return SimilarityModel(matrix, counts, _row_sq_sums(matrix))
-
-
-def _row_sq_sums(matrix: sp.csr_matrix) -> np.ndarray:
-    """Each row's sum of squared entries, added in stored order; exactly 0
-    for an empty row, where reduceat alone gives the next row's first."""
-    sums = np.zeros(matrix.shape[0])
-    nonempty = np.diff(matrix.indptr) > 0
-    sums[nonempty] = np.add.reduceat(matrix.data * matrix.data, matrix.indptr[:-1][nonempty])
-    return sums
+    matrix.data *= np.repeat(inv_sqrt, np.diff(matrix.indptr)) * inv_sqrt[matrix.indices]
+    return SimilarityModel(matrix, counts)
 
 
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:
@@ -161,8 +158,8 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     counts, indptr, indices, data = _read_cache(path, dataset_hash)
     _check_entries(path, indptr, indices, data)
     n_items = len(counts)
+    # _check_entries proved every row's columns strictly increasing
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
-    matrix.sort_indices()
     # ssnr collection reads s_ip from the probe's row, as s_pi
     transposed = matrix.T.tocsr()
     if not (
@@ -172,7 +169,7 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     ):
         raise CacheFormatError(f"{path}: similarity matrix is not symmetric")
     del transposed
-    return SimilarityModel(matrix, counts, _row_sq_sums(matrix))
+    return SimilarityModel(matrix, counts)
 
 
 def _read_cache(

@@ -101,8 +101,6 @@ class BinnedCurve:
     """Log-binned mean ssnr versus age; empty bins are omitted."""
 
     bins: tuple[CurveBin, ...]
-    ratio: float
-    age_min: float
 
     @property
     def total_count(self) -> int:
@@ -271,7 +269,7 @@ def log_bin_average(
         CurveBin(age_min * ratio**k, age_min * ratio ** (k + 1), total / count, count)
         for k, total, count in zip(ks.tolist(), sums.tolist(), counts.tolist())
     )
-    return BinnedCurve(bins, ratio, age_min)
+    return BinnedCurve(bins)
 
 
 def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float] | None:
@@ -308,7 +306,7 @@ def fit_piecewise_trend(
 
     usable = [b for b in curve.bins if b.mean_ssnr > 0]
     mids = np.array([math.sqrt(b.age_lo * b.age_hi) for b in usable])
-    log_x = np.log(mids) if len(usable) else np.zeros(0)
+    log_x = np.log(mids)
     log_y = np.array([math.log(b.mean_ssnr) for b in usable])
 
     # Each outer segment's fit depends on one breakpoint only, so it is
@@ -319,7 +317,7 @@ def fit_piecewise_trend(
     best: tuple[float, float, float] | None = None
     best_fit: TrendFit | None = None
     for a, t_s in enumerate(ts_grid):
-        short = log_x < math.log(t_s) if len(usable) else np.zeros(0, bool)
+        short = log_x < math.log(t_s)
         for b, t_l in enumerate(tl_grid):
             if t_s > t_l:
                 continue

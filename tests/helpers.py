@@ -35,12 +35,10 @@ def profile_pairs(dataset: Dataset) -> list[list[tuple[int, int]]]:
     return [[tuple(pair) for pair in prof.tolist()] for prof in dataset.profiles]
 
 
-def score_vector(scores: dict[int, float], user: int = 0, t_now: int = 0) -> ScoreVector:
+def score_vector(scores: dict[int, float]) -> ScoreVector:
     """A ScoreVector holding ``scores``."""
     items = sorted(scores)
-    return ScoreVector(
-        user, t_now, np.array(items, dtype=np.int64), np.array([scores[j] for j in items], dtype=float)
-    )
+    return ScoreVector(np.array(items, dtype=np.int64), np.array([scores[j] for j in items], dtype=float))
 
 
 def scores_dict(sv: ScoreVector) -> dict[int, float]:

@@ -4,14 +4,17 @@ Everything here is deliberately naive: dense two-loop cosine from user
 sets, full-catalog loops for signal-to-noise ratios, triple-loop scoring,
 an entry-by-entry score sum in profile order, full-sort ranking,
 edge-scanning log-binning and a trend fit that refits every breakpoint
-candidate.  None of it shares code with the library paths it
-checks.
+candidate.  ``coo_similarity`` keeps the earlier sparse build, which
+round-trips the co-count product through COO, as the bit-for-bit
+reference of the canonical one.  None of it shares code with the library
+paths it checks.
 """
 
 import math
 import random
 
 import numpy as np
+import scipy.sparse as sp
 
 from driftcf.dataset import Dataset, RatingLog, preprocess, split_leave_latest
 from helpers import rating_log
@@ -38,6 +41,28 @@ def dense_cosine(train):
             if common:
                 sim[i][j] = common / math.sqrt(len(raters[i]) * len(raters[j]))
     return sim
+
+
+def coo_similarity(train):
+    """The cosine model as (matrix, user counts, row squared sums), built by
+    masking the diagonal out of the co-count product in COO form."""
+    n_items = train.n_items
+    ratings = sp.csr_matrix(
+        (np.ones(train.n_ratings), train.ratings[:, 0], train.indptr),
+        shape=(train.n_users, n_items),
+    )
+    counts = np.asarray(ratings.getnnz(axis=0), dtype=np.int64)
+    co = (ratings.T @ ratings).tocoo()
+    inv_sqrt = np.zeros(n_items)
+    rated = counts > 0
+    inv_sqrt[rated] = 1.0 / np.sqrt(counts[rated])
+    off_diag = co.row != co.col
+    r, c = co.row[off_diag], co.col[off_diag]
+    data = co.data[off_diag] * (inv_sqrt[r] * inv_sqrt[c])
+    matrix = sp.csr_matrix((data, (r, c)), shape=(n_items, n_items))
+    matrix.sum_duplicates()
+    matrix.sort_indices()
+    return matrix, counts, np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
 
 
 def ssnr_full_loop(sim, item, probe):

@@ -260,7 +260,7 @@ def test_trend_fit_round_trip():
                 y = level * (mid / t_l) ** (-k_l)
             bins.append(CurveBin(lo, hi, y, 40))
             lo = hi
-        curve = BinnedCurve(tuple(bins), ratio, 10.0)
+        curve = BinnedCurve(tuple(bins))
         ts_grid = np.array(sorted(set(np.geomspace(100, 1e5, 20)) | {t_s}))
         tl_grid = np.array(sorted(set(np.geomspace(5e5, 5e7, 20)) | {t_l}))
         fit = fit_piecewise_trend(curve, ts_grid, tl_grid)

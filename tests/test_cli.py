@@ -99,6 +99,13 @@ class TestIngest:
         assert code == 0
         assert json.loads(out)["ratings"] == 4
 
+    def test_empty_delimiter_names_it(self, small_log, capsys):
+        code, out, err = run(capsys, "ingest", "--in", str(small_log), "--delimiter", "")
+        assert code == 1
+        assert out == ""
+        assert "error: delimiter must be a non-empty string, got ''" in err
+        assert "Traceback" not in err
+
 
 class TestAnalyzeSsnr:
     def test_curve_csv_and_trend_json(self, tmp_path, capsys):
@@ -216,7 +223,7 @@ class TestFitTrend:
     def test_row_overlapping_or_preceding_the_previous_bin_names_its_line(
         self, tmp_path, capsys, row
     ):
-        # the bin ratio is read off the first row; later rows must follow it
+        # each row must start at or after the previous bin's end
         doubling = "".join(f"{1e5 * 2**k:g},{2e5 * 2**k:g},0.3,3\n" for k in range(14))
         bad = tmp_path / "bad.csv"
         bad.write_text(f"age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n{row}\n{doubling}")

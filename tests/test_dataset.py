@@ -81,6 +81,10 @@ class TestParseEvents:
         with pytest.raises(ValueError):
             LogFormat(columns=("user", "item", "item"))
 
+    def test_empty_delimiter_rejected(self):
+        with pytest.raises(ValueError, match="delimiter must be a non-empty string, got ''"):
+            LogFormat("")
+
 
 class TestPreprocess:
     def test_single_user_item_removed(self):

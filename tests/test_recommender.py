@@ -40,8 +40,7 @@ def model_from_dense(dense) -> SimilarityModel:
     matrix = sp.csr_matrix(arr)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    return SimilarityModel(matrix, sq.astype(np.int64) * 0, sq)
+    return SimilarityModel(matrix, np.zeros(arr.shape[0], dtype=np.int64))
 
 
 def train_with_profiles(n_items, profiles) -> Dataset:
@@ -65,7 +64,7 @@ def with_index_dtype(model: SimilarityModel, dtype) -> SimilarityModel:
     """The same model with its CSR index arrays in ``dtype``."""
     matrix = model.matrix.copy()
     matrix.indptr, matrix.indices = matrix.indptr.astype(dtype), matrix.indices.astype(dtype)
-    return SimilarityModel(matrix, model.user_counts, model.row_sq_sums)
+    return SimilarityModel(matrix, model.user_counts)
 
 
 class TestScoreItems:
@@ -252,7 +251,7 @@ class TestProbeRank:
         matrix = sp.csr_matrix(
             ([np.nan, 0.4, np.nan, 0.4], [1, 2, 0, 0], [0, 2, 3, 4]), shape=(3, 3)
         )
-        model = SimilarityModel(matrix, np.zeros(3, dtype=np.int64), np.zeros(3))
+        model = SimilarityModel(matrix, np.zeros(3, dtype=np.int64))
         train = train_with_profiles(3, [[(0, 100)]])
         sv = score_items(train, model, 0, 500, Constant())
         assert probe_rank(sv, 1) is None
@@ -355,7 +354,7 @@ class TestProbeRanks:
         dense[4, 5] = dense[5, 4] = 0.2
         dense[4, 2] = dense[2, 4] = 0.5
         matrix = sp.csr_matrix(dense)
-        model = SimilarityModel(matrix, np.zeros(6, dtype=np.int64), np.zeros(6))
+        model = SimilarityModel(matrix, np.zeros(6, dtype=np.int64))
         train = train_with_profiles(6, [[(0, 100), (4, 5000)], [(4, 10)]])
         specs = [Constant(), Window(1000.0), Exponential(3000.0), Piecewise(10.0, 2000.0, 1.0, 0.5)]
         for user in (0, 1):

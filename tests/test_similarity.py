@@ -12,17 +12,17 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from driftcf.cli import main
-from driftcf.dataset import preprocess
+from driftcf.dataset import preprocess, split_leave_latest
 from driftcf.similarity import (
     CacheFormatError,
     CacheMismatchError,
-    _row_sq_sums,
+    SimilarityModel,
     build_similarity,
     load_cache,
     save_cache,
 )
 from helpers import dataset_from_profiles, profile_pairs, rating_log
-from oracles import dense_cosine, random_dataset
+from oracles import coo_similarity, dense_cosine, random_dataset
 
 
 def train_of(*triples):
@@ -75,6 +75,29 @@ class TestBuildSimilarity:
         model = build_similarity(train)
         for i in range(model.n_items):
             assert i not in model.row(i)
+
+
+class TestCooReference:
+    def test_build_matches_coo_reference_bit_for_bit(self):
+        seen = {"unrated item": 0}
+
+        @settings(max_examples=80, deadline=None)
+        @given(rng=st.randoms(use_true_random=False))
+        def check(rng):
+            train, _probes = split_leave_latest(random_dataset(rng))
+            assume(train.n_ratings > 0)
+            model = build_similarity(train)
+            matrix, counts, sq_sums = coo_similarity(train)
+            assert model.matrix.has_canonical_format
+            expected = (matrix.indptr, matrix.indices, matrix.data, counts, sq_sums)
+            for got, want in zip(model_arrays(model), expected):
+                assert got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes()
+            # an item whose only rating became a probe has no training rater
+            seen["unrated item"] += bool(np.any(model.user_counts == 0))
+
+        check()
+        assert seen["unrated item"] > 0, seen
 
 
 class TestDenseOracle:
@@ -176,7 +199,7 @@ class TestRowSqSums:
     ])
     def test_empty_rows_are_exactly_zero(self, dense):
         matrix = sp.csr_matrix(np.array(dense))
-        got = _row_sq_sums(matrix)
+        got = SimilarityModel(matrix, np.zeros(matrix.shape[0], dtype=np.int64)).row_sq_sums
         assert got.tobytes() == old_row_sq_sums(matrix).tobytes()
         assert np.all(got[np.diff(matrix.indptr) == 0] == 0.0)
 
@@ -411,6 +434,30 @@ class TestCorruptCache:
         code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
         assert code == 1
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+
+    @pytest.mark.parametrize("command", ["evaluate", "analyze-ssnr"])
+    @pytest.mark.parametrize("extra", [-60, 30])
+    def test_item_count_unlike_the_training_set_refused(self, cli_cache, tmp_path, capsys, command, extra):
+        # keyed by the training set's digest, but sized for fewer or more items
+        log, blob = cli_cache
+        digest = blob[8:40].hex()
+        path = tmp_path / "sim.bin"
+        path.write_bytes(blob)
+        model = load_cache(str(path), digest)
+        n_train, n_items = model.n_items, model.n_items + extra
+        matrix = model.matrix.copy()
+        matrix.resize((n_items, n_items))
+        counts = np.zeros(n_items, dtype=np.int64)
+        counts[: min(n_train, n_items)] = model.user_counts[:n_items]
+        save_cache(SimilarityModel(matrix, counts), str(path), digest)
+        argv = [command, "--in", str(log), "--sim-cache", str(path)]
+        argv += ["--out", str(tmp_path / "eval.json")] if command == "evaluate" else [
+            "--curve-out", str(tmp_path / "curve.csv")]
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"cache holds {n_items} items, the training set {n_train}" in err
+        assert "Traceback" not in err
 
     def test_short_header_rejected(self, small_cache, tmp_path):
         digest, blob = small_cache

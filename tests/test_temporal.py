@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
+    DEFAULT_BIN_RATIO,
     BinnedCurve,
     CurveBin,
     DegenerateRatioError,
@@ -33,9 +34,7 @@ def model_from_dense(dense) -> SimilarityModel:
     matrix = sp.csr_matrix(arr)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    sq = np.asarray(matrix.multiply(matrix).sum(axis=1)).ravel()
-    counts = np.zeros(arr.shape[0], dtype=np.int64)
-    return SimilarityModel(matrix, counts, sq)
+    return SimilarityModel(matrix, np.zeros(arr.shape[0], dtype=np.int64))
 
 
 class TestComputeSsnr:
@@ -260,7 +259,7 @@ class TestLogBinAverage:
         ]
         curve = log_bin_average(ssnr_samples(samples))
         for b in curve.bins:
-            assert b.age_hi == pytest.approx(b.age_lo * curve.ratio, rel=1e-12)
+            assert b.age_hi == pytest.approx(b.age_lo * DEFAULT_BIN_RATIO, rel=1e-12)
         los = [b.age_lo for b in curve.bins]
         assert los == sorted(los)
 
@@ -354,7 +353,7 @@ def synthetic_curve(t_s, t_l, k_s, k_l, level, age_lo=10.0, age_hi=1e9, per_deca
             y = level * (mid / t_l) ** (-k_l)
         bins.append(CurveBin(lo, hi, y, 25))
         lo = hi
-    return BinnedCurve(tuple(bins), ratio, age_lo)
+    return BinnedCurve(tuple(bins))
 
 
 class TestTrendFit:
@@ -401,7 +400,7 @@ class TestTrendFit:
             mid = math.sqrt(lo * hi)
             bins.append(CurveBin(lo, hi, 0.001 * mid ** 0.2, 5))
             lo = hi
-        fit = fit_piecewise_trend(BinnedCurve(tuple(bins), ratio, 10.0))
+        fit = fit_piecewise_trend(BinnedCurve(tuple(bins)))
         assert fit.k_s == 0.0
         assert fit.k_l == 0.0
 
@@ -415,7 +414,7 @@ class TestTrendFit:
         # them cannot fix a slope, and polyfit would warn and fit anyway
         lo_bins = (CurveBin(1.0, 2.0, 0.5, 3), CurveBin(1.0, 2.0, 0.4, 3))
         doubling = tuple(CurveBin(1e5 * 2**k, 2e5 * 2**k, 0.3, 3) for k in range(14))
-        curve = BinnedCurve(lo_bins + doubling, 2.0, 1.0)
+        curve = BinnedCurve(lo_bins + doubling)
         ts_grid, tl_grid = np.geomspace(10.0, 1e6, 11), np.geomspace(1e5, 1e9, 9)
         fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
         assert fit == TrendFit(*fit_trend_grid_loop(curve, ts_grid, tl_grid))
@@ -425,9 +424,7 @@ class TestTrendFit:
 
     def test_zero_mean_bins_ignored(self):
         base = synthetic_curve(5e4, 1e6, 0.6, 0.3, 1.0)
-        spiked = BinnedCurve(
-            base.bins + (CurveBin(2e9, 2.5e9, 0.0, 3),), base.ratio, base.age_min
-        )
+        spiked = BinnedCurve(base.bins + (CurveBin(2e9, 2.5e9, 0.0, 3),))
         fit = fit_piecewise_trend(spiked)
         assert fit.k_s > 0.0
 
@@ -448,7 +445,7 @@ def curves_and_grids(draw):
     a, b, c, d = sorted(draw(st.lists(st.integers(0, len(means)), min_size=4, max_size=4)))
     ts_grid = np.geomspace(edges[a], edges[c], draw(st.integers(1, 12)))
     tl_grid = np.geomspace(edges[b], edges[d], draw(st.integers(1, 12)))
-    return BinnedCurve(bins, ratio, 10.0), ts_grid, tl_grid
+    return BinnedCurve(bins), ts_grid, tl_grid
 
 
 class TestMemoisedTrendFit:
