@@ -34,9 +34,7 @@ from .evaluation import (
     EvalReport,
     ParamGrid,
     SweepResult,
-    evaluate,
     grid_sweep,
-    hit_rate,
     prepare_evaluation,
 )
 from .recommender import ScoreVector, probe_rank, probe_ranks, score_items, top_n
@@ -52,12 +50,10 @@ from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
     BinnedCurve,
     CurveBin,
-    DegenerateRatioError,
     SsnrSamples,
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,
-    compute_ssnr,
     fit_piecewise_trend,
     log_bin_average,
 )

@@ -49,15 +49,6 @@ class EvalReport:
         raise KeyError(f"no result at depth {n}")
 
 
-def hit_rate(flags: Sequence[bool], n: int) -> float:
-    """Depth-normalized hit-rate of per-user hit flags."""
-    if n < 1:
-        raise ValueError(f"search depth must be at least 1, got {n}")
-    if len(flags) == 0:
-        raise ValueError("hit rate is undefined for an empty user set")
-    return sum(flags) / (len(flags) * n)
-
-
 def prepare_evaluation(dataset: Dataset) -> tuple[Dataset, ProbeSet, SimilarityModel]:
     """One global split and one similarity model, shared by all users."""
     train, probes = split_leave_latest(dataset)
@@ -104,14 +95,6 @@ def evaluate_split(
 ) -> EvalReport:
     """Evaluate one decay spec against an existing split and model."""
     return _evaluate_specs(train, probes, model, [spec], n_list)[0]
-
-
-def evaluate(
-    dataset: Dataset, spec: DecaySpec, n_list: Sequence[int] = (10, 20, 50)
-) -> EvalReport:
-    """Full pipeline: split, model, per-user scoring, aggregation."""
-    train, probes, model = prepare_evaluation(dataset)
-    return evaluate_split(train, probes, model, spec, n_list)
 
 
 ALL_FAMILIES = tuple(FAMILIES)

@@ -6,12 +6,14 @@ A candidate item j is scored for user a at query time t_now by
 
 summed over the user's training profile.  A candidate is an item outside
 the profile whose score is nonzero; every other item scores exactly zero
-and is never ranked.  A profile's similarity rows do not depend on the
-decay, so ``probe_ranks`` ranks a probe under many specs from one gather,
-and ``score_items`` is the one-spec case of the same score block.  The
-gathers and sums run in scipy's private compiled ``_sparsetools``
-kernels, which add the terms in profile order; no other module calls
-them.
+and is never ranked.  The sums run in scipy's private compiled
+``_sparsetools`` kernels, which add the terms in profile order; no other
+module calls them.  One spec (``score_items``, and ``probe_ranks`` with
+one spec) is one ``csr_matmat`` call that reads the model's own rows,
+with nothing copied.  A profile's similarity rows do not depend on the
+decay, so several specs share one ``csr_row_index`` gather of them, which
+``csc_matvecs`` then multiplies by a block of weights.  Both kernels give
+every nonzero score the same bits.
 """
 
 from __future__ import annotations
@@ -41,21 +43,18 @@ class ScoreVector:
     scores: np.ndarray
 
 
-# Per-thread row-gather buffers that scoring reuses from one query to the
-# next: a fresh block per query faults in every page it touches whenever
-# the allocator maps it anew, as glibc does above its mmap threshold.
+# Per-thread row-gather buffers that several-spec scoring reuses from one
+# query to the next: a fresh block per query faults in every page it
+# touches whenever the allocator maps it anew, as glibc does above its mmap
+# threshold.
 _scratch = threading.local()
 
 
-def _gather(
+def _check_query(
     train: Dataset, model: SimilarityModel, user: int, t_now: int
-) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Validate a query and gather its profile: the profile's item indices,
-    the ages of its ratings at ``t_now``, and the transposed similarity rows
-    as the CSC arrays ``(indptr, indices, data)`` of an items x profile
-    matrix, one column per rating in profile order.  One ``csr_row_index``
-    call copies the rows into this thread's ``_scratch`` buffers, kept in
-    the matrix's index dtype and overwritten by the next call.  Raises
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate a query; returns its profile's item indices, in the model's
+    index dtype, and the ages of its ratings at ``t_now``.  Raises
     ValueError for an unknown user, an empty training profile, a profile
     item outside the model, or a query time before one of its ratings or
     above 2**63 - 1.
@@ -77,10 +76,18 @@ def _gather(
         raise ValueError(
             f"user {user} rated item {outside[0]}, outside the model's {model.n_items} items"
         )
-    ages = (t_now - profile[:, 1]).astype(float)
+    return prof_items.astype(model.matrix.indices.dtype), (t_now - profile[:, 1]).astype(float)
+
+
+def _gather(model: SimilarityModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The profile's similarity rows, transposed, as the CSC arrays
+    ``(indptr, indices, data)`` of an items x profile matrix, one column
+    per rating in profile order.  One ``csr_row_index`` call copies the
+    rows into this thread's ``_scratch`` buffers, kept in the matrix's
+    index dtype and overwritten by the next call.
+    """
     m = model.matrix
-    rows = prof_items.astype(m.indices.dtype)
-    indptr = np.zeros(len(rows) + 1, m.indices.dtype)
+    indptr = np.zeros(len(rows) + 1, rows.dtype)
     np.cumsum(m.indptr[rows + 1] - m.indptr[rows], out=indptr[1:])
     n = int(indptr[-1])
     fits = hasattr(_scratch, "data") and len(_scratch.data) >= n
@@ -88,25 +95,44 @@ def _gather(
         _scratch.indices, _scratch.data = np.empty(2 * n, indptr.dtype), np.empty(2 * n)
     indices, data = _scratch.indices[:n], _scratch.data[:n]
     _sparsetools.csr_row_index(len(rows), rows, m.indptr, m.indices, m.data, indices, data)
-    return prof_items, ages, (indptr, indices, data)
+    return indptr, indices, data
 
 
-def _scores(gathered, prof_items, ages, specs: Sequence[DecaySpec], n_items: int) -> np.ndarray:
-    """The n_items x L score block of L specs: the gathered rows times the
-    P x L weight block of the profile's ages, each rating's column added in
-    profile order by ``csc_matvec`` (one spec) or ``csc_matvecs`` (several;
-    one column of it gives the same bits at half the speed).  The profile's
-    own items are zeroed, as they are never candidates."""
+def _scores(
+    model: SimilarityModel,
+    rows: np.ndarray,
+    ages: np.ndarray,
+    specs: Sequence[DecaySpec],
+    gathered: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None,
+) -> np.ndarray:
+    """The n_items x L score block of L specs: the profile's similarity rows
+    times the P x L weight block of its ages.  Without ``gathered`` (one
+    spec), ``csr_matmat`` multiplies the weights, as one row with the
+    profile's items as columns, by the model's own CSR arrays and returns
+    the sums that are not zero; with it, ``csc_matvecs`` multiplies the
+    gathered columns.  Both add ``w_k * s_kj`` into item j's sum rating by
+    rating in profile order, starting from 0, so every nonzero score has
+    the same bits either way.  The profile's own items are zeroed, as they
+    are never candidates."""
     weights = np.empty((len(ages), len(specs)))
     for k, spec in enumerate(specs):
         weights[:, k] = spec.weight(ages)
+    n_items = model.n_items
     out = np.zeros((n_items, len(specs)))
-    arrays = (*gathered, weights.ravel(), out.ravel())
-    if len(specs) == 1:
-        _sparsetools.csc_matvec(n_items, len(ages), *arrays)
+    if gathered is None:
+        # the product row's nonzero sums land in (cols, sums), unordered,
+        # and their count in indptr[1]; one row holds at most n_items
+        m, idx = model.matrix, rows.dtype
+        indptr, cols, sums = np.empty(2, idx), np.empty(n_items, idx), np.empty(n_items)
+        _sparsetools.csr_matmat(
+            1, n_items, np.array([0, len(rows)], idx), rows, weights.ravel(),
+            m.indptr, m.indices, m.data, indptr, cols, sums,
+        )
+        n = indptr[1]
+        out[cols[:n], 0] = sums[:n]
     else:
-        _sparsetools.csc_matvecs(n_items, len(ages), len(specs), *arrays)
-    out[prof_items] = 0.0
+        _sparsetools.csc_matvecs(n_items, len(ages), len(specs), *gathered, weights.ravel(), out.ravel())
+    out[rows] = 0.0
     return out
 
 
@@ -121,10 +147,10 @@ def score_items(
 
     The candidates are the items whose score is nonzero; the rest score
     exactly 0 and can be neither recommended nor ranked.  Raises
-    ValueError as ``_gather`` does.
+    ValueError as ``_check_query`` does.
     """
-    prof_items, ages, gathered = _gather(train, model, user, t_now)
-    scores = _scores(gathered, prof_items, ages, [spec], model.n_items)[:, 0]
+    rows, ages = _check_query(train, model, user, t_now)
+    scores = _scores(model, rows, ages, [spec])[:, 0]
     candidates = np.flatnonzero(scores)
     return ScoreVector(candidates, scores[candidates])
 
@@ -144,19 +170,21 @@ def probe_ranks(
 ) -> np.ndarray:
     """The probe's rank under each spec, as int64, 0 where it is unranked.
 
-    Equal to ``probe_rank(score_items(...))`` per spec, with None as 0: the
-    profile's similarity rows are gathered once and scored by the same
-    ``_scores`` block as ``score_items``, one chunk of ``SPEC_CHUNK`` specs
-    at a time, so the scores agree bit for bit.  A probe outside the item
-    range is unranked.  Raises ValueError as ``score_items`` does.
+    Equal to ``probe_rank(score_items(...))`` per spec, with None as 0:
+    the scores come from the same ``_scores`` block, so they agree bit for
+    bit.  One spec is scored straight from the model's rows, as in
+    ``score_items``; several share one gather of the profile's rows,
+    scored one chunk of ``SPEC_CHUNK`` specs at a time.  A probe outside
+    the item range is unranked.  Raises ValueError as ``score_items`` does.
     """
-    prof_items, ages, gathered = _gather(train, model, user, t_now)
+    rows, ages = _check_query(train, model, user, t_now)
     ranks = np.zeros(len(specs), dtype=np.int64)
     if not 0 <= probe_item < model.n_items:
         return ranks
+    gathered = _gather(model, rows) if len(specs) > 1 else None
     for lo in range(0, len(specs), SPEC_CHUNK):
         chunk = specs[lo:lo + SPEC_CHUNK]
-        scores = _scores(gathered, prof_items, ages, chunk, model.n_items)
+        scores = _scores(model, rows, ages, chunk, gathered)
         p = scores[probe_item]
         ahead = np.count_nonzero(scores > p, axis=0)
         ahead += np.count_nonzero(scores[:probe_item] == p, axis=0)

@@ -77,30 +77,13 @@ class SimilarityModel:
     def n_items(self) -> int:
         return self.matrix.shape[0]
 
-    def _check_item(self, i: int) -> None:
-        if not 0 <= i < self.n_items:
-            raise IndexError(f"unknown item index {i} (have {self.n_items} items)")
-
     def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
         """Views of row i's column indices and values (do not mutate)."""
-        self._check_item(i)
+        if not 0 <= i < self.n_items:
+            raise IndexError(f"unknown item index {i} (have {self.n_items} items)")
         m = self.matrix
         lo, hi = m.indptr[i], m.indptr[i + 1]
         return m.indices[lo:hi], m.data[lo:hi]
-
-    def row(self, i: int) -> dict[int, float]:
-        """Sparse row of item i; absent keys mean exactly zero."""
-        idx, val = self.row_arrays(i)
-        return {int(j): float(s) for j, s in zip(idx, val)}
-
-    def value(self, i: int, j: int) -> float:
-        """Single similarity s_ij (0.0 when not stored)."""
-        self._check_item(j)
-        idx, val = self.row_arrays(i)
-        pos = np.searchsorted(idx, j)
-        if pos < len(idx) and idx[pos] == j:
-            return float(val[pos])
-        return 0.0
 
     @property
     def stored_entries(self) -> int:

@@ -39,18 +39,6 @@ DEFAULT_TL_GRID_RANGE = sweep_ranges(Piecewise)["t_l"]
 DEFAULT_GRID_POINTS = 20
 
 
-class DegenerateRatioError(ValueError):
-    """A signal-to-noise ratio whose denominator vanished.
-
-    ``kind`` is "degenerate_infinite" (zero denominator, positive
-    numerator) or "isolated" (item with an empty similarity row).
-    """
-
-    def __init__(self, kind: str, message: str):
-        super().__init__(message)
-        self.kind = kind
-
-
 class TrendFitError(ValueError):
     """No breakpoint candidate produced enough bins per segment."""
 
@@ -125,49 +113,6 @@ class TrendFit:
     residual: float
 
 
-def _ssnr(
-    model: SimilarityModel, items: np.ndarray, s: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Signal-to-noise of each of ``items`` against its probe, given ``s``,
-    each item's similarity to that probe.
-
-    Uses the cached squared row sum minus the probe term; the diagonal is
-    never stored, so the j != item exclusion is automatic.  Returns
-    (values, infinite, isolated): the masks mark the entries whose
-    denominator vanished, "degenerate_infinite" when the numerator is
-    positive and "isolated" otherwise, and ``values`` holds the ratios of
-    the other entries, in order.
-    """
-    num = s * s
-    denom = model.row_sq_sums[items] - num
-    vanished = denom <= 0.0
-    infinite = vanished & (num > 0.0)
-    kept = ~vanished
-    return num[kept] / denom[kept], infinite, vanished & ~infinite
-
-
-def compute_ssnr(model: SimilarityModel, item: int, probe_item: int) -> float:
-    """Signal-to-noise of ``item`` against ``probe_item``.
-
-    The one-pair case of ``collect_ssnr_ages``.  Raises
-    DegenerateRatioError when the denominator vanishes.
-    """
-    if item == probe_item:
-        raise ValueError("ssnr is undefined for the probe item itself")
-    s = np.array([model.value(item, probe_item)])
-    values, infinite, isolated = _ssnr(model, np.array([item]), s)
-    if infinite[0]:
-        raise DegenerateRatioError(
-            "degenerate_infinite",
-            f"item {item}: probe is its only similar item",
-        )
-    if isolated[0]:
-        raise DegenerateRatioError(
-            "isolated", f"item {item}: empty similarity row",
-        )
-    return float(values[0])
-
-
 def collect_ssnr_ages(
     train: Dataset, probes: ProbeSet, model: SimilarityModel
 ) -> tuple[SsnrSamples, dict[str, int]]:
@@ -201,11 +146,19 @@ def collect_ssnr_ages(
         s[lo:hi] = dense[items[lo:hi]]
         dense[idx] = 0.0
 
-    values, infinite, isolated = _ssnr(model, items, s)
-    kept = ~(infinite | isolated)
+    # the squared similarity to the probe over the rest of the item's
+    # squared row sum; the diagonal is never stored, so the j != item
+    # exclusion is automatic.  A sample whose denominator vanished is
+    # "degenerate_infinite" when the numerator is positive, else "isolated".
+    num = s * s
+    denom = model.row_sq_sums[items] - num
+    vanished = denom <= 0.0
+    infinite = vanished & (num > 0.0)
+    kept = ~vanished
     user_col = np.repeat(users, lengths)
-    samples = SsnrSamples(user_col[kept], items[kept], ages[kept], values)
-    return samples, {"degenerate_infinite": int(infinite.sum()), "isolated": int(isolated.sum())}
+    samples = SsnrSamples(user_col[kept], items[kept], ages[kept], num[kept] / denom[kept])
+    exclusions = {"degenerate_infinite": int(infinite.sum()), "isolated": int((vanished & ~infinite).sum())}
+    return samples, exclusions
 
 
 # No int64 age reaches 2**63, so it stands for any bin edge at or above it.

@@ -1,13 +1,18 @@
 """Conversions between the library's array layouts and plain Python
 values, for tests that state events as triples, profiles as lists of
-(item, timestamp) pairs, scores as a map or ssnr samples as rows."""
+(item, timestamp) pairs, similarity rows or scores as a map or ssnr
+samples as rows; and the one-call shortcuts only tests use: one
+similarity, the one-pair ssnr and the split-build-evaluate pipeline."""
 
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from driftcf.dataset import Dataset, RatingLog
+from driftcf.decay import DecaySpec
+from driftcf.evaluation import EvalReport, evaluate_split, prepare_evaluation
 from driftcf.recommender import ScoreVector
+from driftcf.similarity import SimilarityModel
 from driftcf.temporal import SsnrSamples
 
 
@@ -44,6 +49,64 @@ def score_vector(scores: dict[int, float]) -> ScoreVector:
 def scores_dict(sv: ScoreVector) -> dict[int, float]:
     """The candidate scores of ``sv`` as a map."""
     return {int(j): float(f) for j, f in zip(sv.items, sv.scores)}
+
+
+def similarity_row(model: SimilarityModel, i: int) -> dict[int, float]:
+    """Sparse row of item i; absent keys mean exactly zero."""
+    idx, val = model.row_arrays(i)
+    return {int(j): float(s) for j, s in zip(idx, val)}
+
+
+def similarity_value(model: SimilarityModel, i: int, j: int) -> float:
+    """Single similarity s_ij (0.0 when not stored); IndexError for an
+    unknown item i or j."""
+    if not 0 <= j < model.n_items:
+        raise IndexError(f"unknown item index {j} (have {model.n_items} items)")
+    idx, val = model.row_arrays(i)
+    pos = np.searchsorted(idx, j)
+    if pos < len(idx) and idx[pos] == j:
+        return float(val[pos])
+    return 0.0
+
+
+class DegenerateRatioError(ValueError):
+    """A signal-to-noise ratio whose denominator vanished.
+
+    ``kind`` is "degenerate_infinite" (zero denominator, positive
+    numerator) or "isolated" (item with an empty similarity row), the keys
+    of ``collect_ssnr_ages``'s exclusion tally.
+    """
+
+    def __init__(self, kind: str, message: str):
+        super().__init__(message)
+        self.kind = kind
+
+
+def compute_ssnr(model: SimilarityModel, item: int, probe_item: int) -> float:
+    """Signal-to-noise of ``item`` against ``probe_item``: the one-pair case
+    of ``collect_ssnr_ages``, in the same float64 steps, so the same bits.
+    Raises DegenerateRatioError when the denominator vanishes.
+    """
+    if item == probe_item:
+        raise ValueError("ssnr is undefined for the probe item itself")
+    s = similarity_value(model, item, probe_item)
+    num = s * s
+    denom = float(model.row_sq_sums[item]) - num
+    if denom <= 0.0:
+        if num > 0.0:
+            raise DegenerateRatioError(
+                "degenerate_infinite", f"item {item}: probe is its only similar item"
+            )
+        raise DegenerateRatioError("isolated", f"item {item}: empty similarity row")
+    return num / denom
+
+
+def evaluate(
+    dataset: Dataset, spec: DecaySpec, n_list: Sequence[int] = (10, 20, 50)
+) -> EvalReport:
+    """Full pipeline: split, model, per-user scoring, aggregation."""
+    train, probes, model = prepare_evaluation(dataset)
+    return evaluate_split(train, probes, model, spec, n_list)
 
 
 class SampleRow(NamedTuple):

@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from driftcf.dataset import Dataset, RatingLog, preprocess, split_leave_latest
-from helpers import rating_log
+from helpers import rating_log, similarity_row
 
 
 def item_raters(train):
@@ -100,11 +100,20 @@ def profile_order_scores(train, model, user, t_now, weight_fn):
     scores = {}
     for item, ts in profile:
         w = weight_fn(t_now - ts)
-        for j, s in model.row(item).items():
+        for j, s in similarity_row(model, item).items():
             scores[j] = scores.get(j, 0.0) + w * s
     for item, _ts in profile:
         scores.pop(item, None)
     return scores
+
+
+def hit_rate(flags, n):
+    """Depth-normalized hit-rate of per-user hit flags: hits / (users * n)."""
+    if n < 1:
+        raise ValueError(f"search depth must be at least 1, got {n}")
+    if len(flags) == 0:
+        raise ValueError("hit rate is undefined for an empty user set")
+    return sum(flags) / (len(flags) * n)
 
 
 def sort_truncate(scores, n):

@@ -12,6 +12,7 @@ import random
 import statistics
 import time
 from contextlib import contextmanager
+from functools import partial
 
 import pytest
 
@@ -26,25 +27,31 @@ from driftcf.decay import (
     Window,
     eval_decay,
 )
-from driftcf.evaluation import evaluate, evaluate_split, hit_rate, prepare_evaluation
+from driftcf.evaluation import evaluate_split, prepare_evaluation
 from driftcf.recommender import score_items, top_n
 from driftcf.similarity import build_similarity
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from driftcf.temporal import (
     CurveBin,
     BinnedCurve,
-    DegenerateRatioError,
     collect_ssnr_ages,
-    compute_ssnr,
     fit_piecewise_trend,
     log_bin_average,
 )
 import numpy as np
 
-from helpers import scores_dict
+from helpers import (
+    DegenerateRatioError,
+    compute_ssnr,
+    evaluate,
+    scores_dict,
+    similarity_row,
+    similarity_value,
+)
 from oracles import (
     dense_cosine,
     dense_scores,
+    hit_rate,
     random_train,
     reference_ibcf_top_n,
     sort_truncate,
@@ -81,7 +88,7 @@ def test_similarity_oracle(instances):
         for train, _probes, model, dense in instances:
             n = train.n_items
             for i in range(n):
-                row = model.row(i)
+                row = similarity_row(model, i)
                 for j in range(n):
                     if i == j:
                         continue
@@ -219,7 +226,7 @@ def test_ibcf_equivalence():
                 t_now = probes.probes[u][1]
                 sv = score_items(train, model, u, t_now, Constant())
                 got = top_n(sv, 10)
-                expected = reference_ibcf_top_n(train, u, 10, sim=model.value)
+                expected = reference_ibcf_top_n(train, u, 10, sim=partial(similarity_value, model))
                 assert [j for j, _ in got] == [j for j, _ in expected]
 
 

@@ -10,16 +10,14 @@ from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_d
 from driftcf.evaluation import (
     EvalReport,
     ParamGrid,
-    evaluate,
     evaluate_split,
     grid_sweep,
-    hit_rate,
     prepare_evaluation,
 )
 from driftcf.recommender import SPEC_CHUNK
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
-from helpers import rating_log
-from oracles import pipeline_hits, random_dataset
+from helpers import evaluate, rating_log
+from oracles import hit_rate, pipeline_hits, random_dataset
 
 
 class TestHitRate:

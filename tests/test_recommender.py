@@ -3,10 +3,12 @@
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,9 +23,9 @@ from driftcf.decay import (
     eval_decay,
 )
 from driftcf import recommender
-from driftcf.recommender import probe_rank, probe_ranks, score_items, top_n
+from driftcf.recommender import SPEC_CHUNK, probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
-from helpers import dataset_from_profiles, score_vector, scores_dict
+from helpers import dataset_from_profiles, score_vector, scores_dict, similarity_value
 from oracles import (
     dense_cosine,
     dense_scores,
@@ -271,7 +273,7 @@ class TestIbcfEquivalence:
                 t_now = probes.probes[u][1]
                 sv = score_items(train, model, u, t_now, Constant())
                 got = top_n(sv, 10)
-                expected = reference_ibcf_top_n(train, u, 10, sim=model.value)
+                expected = reference_ibcf_top_n(train, u, 10, sim=partial(similarity_value, model))
                 assert [j for j, _ in got] == [j for j, _ in expected]
                 for (_, fa), (_, fb) in zip(got, expected):
                     assert abs(fa - fb) < 1e-12 * max(1.0, fb)
@@ -323,25 +325,26 @@ class TestProbeRanks:
             assert_ranks_match(train, model, u, t_now, range(-1, train.n_items + 1), specs)
 
     def test_threads_scoring_at_once_match_one_thread(self):
-        # each thread gathers similarity rows into scratch buffers of its own
+        # several specs gather similarity rows into scratch buffers of each
+        # thread's own; one spec allocates its buffers per call
         rng = random.Random(61)
         _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
         model = build_similarity(train)
-        specs = [Constant(), Exponential(5e4)]
 
-        def ranks():
+        def ranks(specs):
             return [
                 probe_ranks(train, model, u, probes.probes[u][1], probes.probes[u][0], specs).tolist()
                 for u in probes.evaluated_users * 20
             ]
 
-        expected = ranks()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows
         try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                results = [pool.submit(ranks) for _ in range(8)]
-                assert all(r.result(timeout=120) == expected for r in results)
+            for specs in ([Constant(), Exponential(5e4)], [Exponential(5e4)]):
+                expected = ranks(specs)
+                with ThreadPoolExecutor(max_workers=4) as pool:
+                    results = [pool.submit(ranks, specs) for _ in range(8)]
+                    assert all(r.result(timeout=120) == expected for r in results)
         finally:
             sys.setswitchinterval(interval)
 
@@ -448,6 +451,94 @@ class TestKernelScoring:
             return out
 
         assert queries(wide, np.int64) == queries(narrow, np.int32)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        specs=st.lists(spec_strategy, min_size=1, max_size=3),
+        factor=st.sampled_from([1.0, -1.0, 0.0, -2.5]),
+        flip=st.booleans(),
+        nan=st.booleans(),
+        index_dtype=st.sampled_from([np.int32, np.int64]),
+        later=st.integers(0, 10**7),
+    )
+    def test_one_spec_kernel_equals_its_column_of_the_block_bit_for_bit(
+        self, seed, specs, factor, flip, nan, index_dtype, later
+    ):
+        # score_items multiplies the model's own rows; the several-spec
+        # block multiplies a gathered copy of them.  Negative and zero
+        # weights come through factor, negative and nan similarities
+        # through flip and nan.
+        _ds, train, _probes = random_train(random.Random(seed))
+        model = with_index_dtype(build_similarity(train), index_dtype)
+        if flip:
+            model.matrix.data[::2] *= -1.0
+        if nan:
+            model.matrix.data[1::3] = np.nan
+        scaled = [Scaled(spec, factor) for spec in specs]
+        several = [*scaled, Constant()]
+        for u, profile in enumerate(train.profiles):
+            if not len(profile):
+                continue
+            t_now = int(profile[:, 1].max()) + later
+            rows, ages = recommender._check_query(train, model, u, t_now)
+            block = recommender._scores(model, rows, ages, several, recommender._gather(model, rows))
+            for spec, column in zip(scaled, block.T):
+                sv = score_items(train, model, u, t_now, spec)
+                assert sv.items.tolist() == np.flatnonzero(column).tolist()
+                assert sv.scores.tobytes() == column[sv.items].tobytes()
+
+    def test_one_spec_gathers_no_rows(self, monkeypatch):
+        rng = random.Random(83)
+        _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
+        model = build_similarity(train)
+        spec = Piecewise(5e4, 1e6, 0.6, 0.3)
+        queries = []
+        for u in probes.evaluated_users:
+            probe, t_now = probes.probes[u]
+            # the gathered several-spec path, the only one before csr_matmat
+            rows, ages = recommender._check_query(train, model, u, t_now)
+            column = recommender._scores(
+                model, rows, ages, [spec, spec], recommender._gather(model, rows)
+            )[:, 0]
+            items = np.flatnonzero(column)
+            for item in (probe, *items[:3].tolist()):
+                rank = probe_ranks(train, model, u, t_now, item, [spec, spec]).tolist()[:1]
+                queries.append((u, t_now, item, items, column[items], rank))
+
+        def no_gather(*_args):
+            raise AssertionError("a one-spec query gathered rows")
+
+        monkeypatch.setattr(_sparsetools, "csr_row_index", no_gather)
+        for u, t_now, item, items, scores, rank in queries:
+            sv = score_items(train, model, u, t_now, spec)
+            assert sv.items.tobytes() == items.tobytes()
+            assert sv.scores.tobytes() == scores.tobytes()
+            assert probe_ranks(train, model, u, t_now, item, [spec]).tolist() == rank
+
+    def test_several_specs_gather_once_per_query(self, monkeypatch):
+        rng = random.Random(84)
+        _ds, train, probes = random_train(rng, max_users=40, max_items=30, max_events=400)
+        model = build_similarity(train)
+        gathers = []
+        gather = _sparsetools.csr_row_index
+
+        def counted(*args):
+            gathers.append(args[0])
+            return gather(*args)
+
+        def no_matmat(*_args):
+            raise AssertionError("a gathered query multiplied the model's rows")
+
+        monkeypatch.setattr(_sparsetools, "csr_row_index", counted)
+        monkeypatch.setattr(_sparsetools, "csr_matmat", no_matmat)
+        # two specs, and a chunk of SPEC_CHUNK followed by a one-spec chunk
+        for specs in ([Constant(), Exponential(5e4)], [Exponential(5e4)] * (SPEC_CHUNK + 1)):
+            for u in probes.evaluated_users:
+                probe, t_now = probes.probes[u]
+                gathers.clear()
+                probe_ranks(train, model, u, t_now, probe, specs)
+                assert gathers == [len(train.profiles[u])]
 
     @pytest.mark.parametrize("item", [3, 7])
     def test_profile_item_outside_the_model_rejected_before_any_kernel(self, monkeypatch, item):

@@ -21,7 +21,13 @@ from driftcf.similarity import (
     load_cache,
     save_cache,
 )
-from helpers import dataset_from_profiles, profile_pairs, rating_log
+from helpers import (
+    dataset_from_profiles,
+    profile_pairs,
+    rating_log,
+    similarity_row,
+    similarity_value,
+)
 from oracles import coo_similarity, dense_cosine, random_dataset
 
 
@@ -36,7 +42,7 @@ class TestBuildSimilarity:
         train = train_of(("u1", "i", 1), ("u2", "i", 2), ("u1", "j", 3), ("u2", "j", 4))
         model = build_similarity(train)
         i, j = train.item_index["i"], train.item_index["j"]
-        assert model.value(i, j) == pytest.approx(1.0, abs=1e-15)
+        assert similarity_value(model, i, j) == pytest.approx(1.0, abs=1e-15)
 
     def test_disjoint_user_sets_not_stored(self):
         # u3 bridges i and j into the dataset without co-rating them
@@ -47,8 +53,8 @@ class TestBuildSimilarity:
         )
         model = build_similarity(train)
         i, j = train.item_index["i"], train.item_index["j"]
-        assert j not in model.row(i)
-        assert model.value(i, j) == 0.0
+        assert j not in similarity_row(model, i)
+        assert similarity_value(model, i, j) == 0.0
 
     def test_two_versus_three_raters(self):
         train = train_of(
@@ -60,7 +66,7 @@ class TestBuildSimilarity:
         model = build_similarity(train)
         i, j = train.item_index["i"], train.item_index["j"]
         expected = 1.0 / (math.sqrt(2) * math.sqrt(3))
-        assert model.value(i, j) == pytest.approx(expected, abs=1e-12)
+        assert similarity_value(model, i, j) == pytest.approx(expected, abs=1e-12)
 
     def test_empty_train_rejected(self):
         ds = preprocess(rating_log([]))
@@ -74,7 +80,7 @@ class TestBuildSimilarity:
             train = random_dataset(rng)
         model = build_similarity(train)
         for i in range(model.n_items):
-            assert i not in model.row(i)
+            assert i not in similarity_row(model, i)
 
 
 class TestCooReference:
@@ -113,7 +119,7 @@ class TestDenseOracle:
             dense = dense_cosine(train)
             n = train.n_items
             for i in range(n):
-                row = model.row(i)
+                row = similarity_row(model, i)
                 for j in range(n):
                     if i == j:
                         continue
@@ -131,9 +137,9 @@ class TestDenseOracle:
                 continue
             model = build_similarity(train)
             for i in range(model.n_items):
-                for j, s in model.row(i).items():
+                for j, s in similarity_row(model, i).items():
                     assert 0.0 < s <= 1.0 + 1e-15
-                    assert model.value(j, i) == pytest.approx(s, abs=0)
+                    assert similarity_value(model, j, i) == pytest.approx(s, abs=0)
 
     def test_stored_entries_count_pairs_with_common_users(self):
         rng = random.Random(8603)
@@ -157,7 +163,7 @@ class TestDenseOracle:
                 continue
             model = build_similarity(train)
             for i in range(model.n_items):
-                recomputed = sum(s * s for s in model.row(i).values())
+                recomputed = sum(s * s for s in similarity_row(model, i).values())
                 cached = model.row_sq_sums[i]
                 assert abs(cached - recomputed) <= 1e-9 * max(recomputed, 1e-300)
 
@@ -167,9 +173,9 @@ class TestRowQueries:
         train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
         model = build_similarity(train)
         with pytest.raises(IndexError):
-            model.row(model.n_items)
+            similarity_row(model, model.n_items)
         with pytest.raises(IndexError):
-            model.row(-1)
+            similarity_row(model, -1)
 
     def test_row_without_neighbors_is_empty(self):
         train = train_of(
@@ -183,7 +189,7 @@ class TestRowQueries:
             [(i, t) for i, t in prof if i != c] for prof in profile_pairs(train)
         ])
         model = build_similarity(train)
-        assert model.row(train.item_index["a"]).get(train.item_index["b"]) is None
+        assert similarity_row(model, train.item_index["a"]).get(train.item_index["b"]) is None
 
 
 def old_row_sq_sums(matrix):
@@ -259,7 +265,7 @@ class TestCache:
             (u, i) for u in ("u1", "u2", "u3") for i in ("a", "b")
         )))
         model = build_similarity(train)
-        assert model.value(train.item_index["a"], train.item_index["b"]) == 1 + 2.0**-52
+        assert similarity_value(model, train.item_index["a"], train.item_index["b"]) == 1 + 2.0**-52
         path = str(tmp_path / "sim.bin")
         save_cache(model, path, train.content_hash())
         loaded = load_cache(path, train.content_hash())

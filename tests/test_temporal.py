@@ -15,15 +15,13 @@ from driftcf.temporal import (
     DEFAULT_BIN_RATIO,
     BinnedCurve,
     CurveBin,
-    DegenerateRatioError,
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,
-    compute_ssnr,
     fit_piecewise_trend,
     log_bin_average,
 )
-from helpers import SampleRow, sample_rows, ssnr_samples
+from helpers import DegenerateRatioError, SampleRow, compute_ssnr, sample_rows, ssnr_samples
 from oracles import dense_cosine, fit_trend_grid_loop, random_train, scan_bins, ssnr_full_loop
 
 
