@@ -7,13 +7,13 @@ A candidate item j is scored for user a at query time t_now by
 summed over the user's training profile.  A candidate is an item outside
 the profile whose score is nonzero; every other item scores exactly zero
 and is never ranked.  The sums run in scipy's private compiled
-``_sparsetools`` kernels, which add the terms in profile order; no other
-module calls them.  One spec (``score_items``, and ``probe_ranks`` with
-one spec) is one ``csr_matmat`` call that reads the model's own rows,
-with nothing copied.  A profile's similarity rows do not depend on the
-decay, so several specs share one ``csr_row_index`` gather of them, which
-``csc_matvecs`` then multiplies by a block of weights.  Both kernels give
-every nonzero score the same bits.
+``_sparsetools`` kernels, which add the terms in profile order; the
+similarity build is their only other caller.  One spec (``score_items``,
+and ``probe_ranks`` with one spec) is one ``csr_matmat`` call that reads
+the model's own rows, with nothing copied.  A profile's similarity rows
+do not depend on the decay, so several specs share one ``csr_row_index``
+gather of them, which ``csc_matvecs`` then multiplies by a block of
+weights.  Both kernels give every nonzero score the same bits.
 """
 
 from __future__ import annotations
@@ -202,6 +202,11 @@ def top_n(score_vector: ScoreVector, n: int) -> list[tuple[int, float]]:
         raise ValueError(f"n must be at least 1, got {n}")
     positive = score_vector.scores > 0
     items, scores = score_vector.items[positive], score_vector.scores[positive]
+    if len(scores) > n:
+        # only the scores at or above the n-th largest, ties included, can rank
+        kth = np.partition(scores, len(scores) - n)[len(scores) - n]
+        above = scores >= kth
+        items, scores = items[above], scores[above]
     order = np.lexsort((items, -scores))[:n]
     return [(int(j), float(f)) for j, f in zip(items[order], scores[order])]
 

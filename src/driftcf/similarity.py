@@ -10,9 +10,13 @@ denominators sum over entire rows.
 Co-rating counts are accumulated through user profiles (cost proportional
 to the sum of squared profile lengths), realized as the sparse product
 R^T R of the binary user-item matrix, whose CSR arrays are the training
-set's own ``indptr`` and item column.  The product is symmetric, so
-converting it to CSR sorts it; its diagonal, the rater counts, is
-subtracted before scaling.  The finished model is immutable and safe for
+set's own ``indptr`` and item column.  scipy's compiled ``_sparsetools``
+kernels form it a block of item rows at a time: the rater counts are
+subtracted from the diagonal inside the product, so it is never stored,
+and each block is sorted by two counting transposes, scaled to cosines
+and written straight into the model's arrays, which one symbolic pass
+sized beforehand.  A build thus holds the model plus one block of
+``BLOCK_ENTRIES`` entries.  The finished model is immutable and safe for
 concurrent reads.
 """
 
@@ -24,6 +28,7 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from .atomic import atomic_open
 from .dataset import Dataset
@@ -41,6 +46,10 @@ _BLOCKS = ("<u4", "<u4", "<u4", "<f8")
 # steps, so two items rated by the same users can get 1 + 2**-52; the
 # largest similarity load_cache accepts covers every rounding of those steps.
 MAX_SIMILARITY = 1 + 4 * 2.0**-52
+
+# build_similarity forms the product this many entries' worth of full rows
+# at a time (at least one row), in scratch buffers reused from block to block.
+BLOCK_ENTRIES = 2**15
 
 
 class CacheFormatError(ValueError):
@@ -91,21 +100,70 @@ class SimilarityModel:
 
 
 def build_similarity(train: Dataset) -> SimilarityModel:
-    """Build the item-item cosine model from a training set."""
+    """Build the item-item cosine model from a training set.
+
+    Raises ValueError for an empty training set or one in which a user rates
+    an item twice.
+    """
     if train.n_ratings == 0:
         raise ValueError("cannot build similarity model from an empty training set")
-    n_items = train.n_items
-    ratings = sp.csr_matrix(
-        (np.ones(train.n_ratings), train.ratings[:, 0], train.indptr), shape=(train.n_users, n_items)
+    n_users, n_items, n_ratings = train.n_users, train.n_items, train.n_ratings
+    # R^T R - diag(counts) is the product A B of B = [R; -diag(counts)] and
+    # A = [R^T | I], B's pattern transposed with ones: the diagonal sums to
+    # exactly 0, which csr_matmat does not store, and every other sum is a
+    # positive co-count.  R as CSR is the training set's indptr and item column.
+    b_indptr = np.concatenate((train.indptr, n_ratings + np.arange(1, n_items + 1)))
+    b_indices = np.concatenate((train.ratings[:, 0], np.arange(n_items)))
+    a_indptr, a_indices = np.empty(n_items + 1, np.int64), np.empty_like(b_indices)
+    a_data, b_data = np.ones(len(b_indices)), np.ones(len(b_indices))
+    # A as CSR is B's CSC arrays: each item's raters in ascending order, then
+    # the item's own row of B
+    _sparsetools.csr_tocsc(
+        n_users + n_items, n_items, b_indptr, b_indices, b_data, a_indptr, a_indices, a_data
     )
-    # the product is CSC and symmetric, so converting it sorts every row
-    co = (ratings.T @ ratings).tocsr()
-    counts = co.diagonal().astype(np.int64)
-    matrix = co - sp.diags(counts, format="csr", dtype=np.float64)
-    del co
+    # a repeated rating would leave a diagonal sum that is not 0, stored past
+    # the entry count below; equal neighbours in A can only be one
+    if np.any(a_indices[1:] == a_indices[:-1]):
+        raise ValueError("training set holds one user's rating of an item twice")
+    counts = np.diff(a_indptr) - 1
+    b_data[n_ratings:] = -counts
+    # the symbolic count includes every diagonal entry
+    nnz = _sparsetools.csr_matmat_maxnnz(
+        n_items, n_items, a_indptr, a_indices, b_indptr, b_indices
+    ) - n_items
+    # one index dtype holds every index array, the model's included, as the
+    # kernels take one and do no bounds checks
+    idx = np.int64 if max(nnz, len(b_indices), n_users + n_items) >= 2**31 else np.int32
+    a_indptr, a_indices, b_indptr, b_indices = (
+        a.astype(idx, copy=False) for a in (a_indptr, a_indices, b_indptr, b_indices)
+    )
     inv_sqrt = np.divide(1.0, np.sqrt(counts), out=np.zeros(n_items), where=counts > 0)
-    # multiply the two scale factors first so s_ij == s_ji bit for bit
-    matrix.data *= np.repeat(inv_sqrt, np.diff(matrix.indptr)) * inv_sqrt[matrix.indices]
+    indptr, indices, data = np.zeros(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+
+    rows = max(1, BLOCK_ENTRIES // n_items)
+    # a block's product rows and their transpose; a row holds at most n_items
+    # entries
+    bp, bj, bx = np.empty(rows + 1, idx), np.empty(rows * n_items, idx), np.empty(rows * n_items)
+    tp, tj, tx = np.empty(n_items + 1, idx), np.empty_like(bj), np.empty_like(bx)
+    for lo in range(0, n_items, rows):
+        hi = min(lo + rows, n_items)
+        _sparsetools.csr_matmat(
+            hi - lo, n_items, a_indptr[lo:hi + 1], a_indices, a_data,
+            b_indptr, b_indices, b_data, bp, bj, bx,
+        )
+        start, end = indptr[lo], indptr[lo] + bp[hi - lo]
+        j, s = indices[start:end], data[start:end]
+        # transposing twice sorts every row's columns; the second writes the
+        # block's rows into the model's arrays
+        _sparsetools.csr_tocsc(hi - lo, n_items, bp, bj, bx, tp, tj, tx)
+        _sparsetools.csr_tocsc(n_items, hi - lo, tp, tj, tx, bp, j, s)
+        indptr[lo + 1:hi + 1] = start + bp[1:hi - lo + 1]
+        # s_ij = c_ij * (1/sqrt(n_j) * 1/sqrt(n_i)): the two scale factors
+        # first, so s_ij == s_ji bit for bit; tx is free to hold them
+        f = np.take(inv_sqrt, j, out=tx[:len(j)], mode="clip")
+        _sparsetools.csr_scale_rows(hi - lo, n_items, bp, j, f, inv_sqrt[lo:hi])
+        s *= f
+    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
     return SimilarityModel(matrix, counts)
 
 

@@ -200,7 +200,13 @@ class TestTopN:
                 for j in rng.sample(range(50), rng.randint(1, 30))
             }
             sv = score_vector(scores)
-            for n in (1, 3, 10):
+            for n in (1, 3, 10, len(scores), len(scores) + 1):
+                assert top_n(sv, n) == sort_truncate(scores, n)
+        # few distinct scores, so ties straddle the n-th one
+        for _ in range(50):
+            scores = {j: rng.choice([0.125, 0.25, 0.5]) for j in rng.sample(range(50), 30)}
+            sv = score_vector(scores)
+            for n in range(1, 31):
                 assert top_n(sv, n) == sort_truncate(scores, n)
 
     def test_scale_invariance(self):

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from driftcf import similarity
 from driftcf.cli import main
 from driftcf.dataset import preprocess, split_leave_latest
 from driftcf.similarity import (
@@ -21,6 +23,7 @@ from driftcf.similarity import (
     load_cache,
     save_cache,
 )
+from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import (
     dataset_from_profiles,
     profile_pairs,
@@ -73,6 +76,11 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError):
             build_similarity(ds)
 
+    def test_repeated_rating_rejected(self):
+        train = dataset_from_profiles(["a", "b"], ["x", "y"], [[(0, 1), (0, 2), (1, 3)], [(0, 4), (1, 5)]])
+        with pytest.raises(ValueError, match="twice"):
+            build_similarity(train)
+
     def test_diagonal_never_stored(self):
         rng = random.Random(5)
         train = random_dataset(rng)
@@ -85,25 +93,47 @@ class TestBuildSimilarity:
 
 class TestCooReference:
     def test_build_matches_coo_reference_bit_for_bit(self):
-        seen = {"unrated item": 0}
+        seen = {"unrated item": 0, "short last block": 0}
 
         @settings(max_examples=80, deadline=None)
         @given(rng=st.randoms(use_true_random=False))
         def check(rng):
             train, _probes = split_leave_latest(random_dataset(rng))
             assume(train.n_ratings > 0)
-            model = build_similarity(train)
             matrix, counts, sq_sums = coo_similarity(train)
-            assert model.matrix.has_canonical_format
             expected = (matrix.indptr, matrix.indices, matrix.data, counts, sq_sums)
-            for got, want in zip(model_arrays(model), expected):
-                assert got.dtype == want.dtype
-                assert got.tobytes() == want.tobytes()
+            n = train.n_items
+            # one block, one-row blocks, and blocks of a row count that does
+            # not divide n_items (from 3 items on)
+            for rows in (None, 1, n // 2 + 1):
+                with pytest.MonkeyPatch.context() as mp:
+                    if rows is not None:
+                        mp.setattr(similarity, "BLOCK_ENTRIES", rows * n)
+                    model = build_similarity(train)
+                assert model.matrix.has_canonical_format
+                for got, want in zip(model_arrays(model), expected):
+                    assert got.dtype == want.dtype
+                    assert got.tobytes() == want.tobytes()
             # an item whose only rating became a probe has no training rater
             seen["unrated item"] += bool(np.any(model.user_counts == 0))
+            seen["short last block"] += n % (n // 2 + 1) != 0
 
         check()
-        assert seen["unrated item"] > 0, seen
+        assert all(seen.values()), seen
+
+
+class TestBuildMemory:
+    def test_build_holds_the_model_plus_less_than_half_of_it(self):
+        train, _probes = split_leave_latest(preprocess(generate_synthetic(SyntheticConfig())))
+        tracemalloc.start()
+        try:
+            model = build_similarity(train)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        m = model.matrix
+        model_bytes = sum(a.nbytes for a in (m.indptr, m.indices, m.data, model.user_counts))
+        assert peak - model_bytes < model_bytes / 2, (peak, model_bytes)
 
 
 class TestDenseOracle:
