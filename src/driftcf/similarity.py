@@ -15,9 +15,10 @@ kernels form it a block of item rows at a time: the rater counts are
 subtracted from the diagonal inside the product, so it is never stored,
 and each block is sorted by two counting transposes, scaled to cosines
 and written straight into the model's arrays, which one symbolic pass
-sized beforehand.  A build thus holds the model plus one block of
-``BLOCK_ENTRIES`` entries.  The finished model is immutable and safe for
-concurrent reads.
+sized beforehand.  A block holds at most ``BLOCK_ENTRIES`` entries, or
+n_items if that is larger, so a build holds the model plus one block, and
+the blocks' fixed O(n_items) costs stay within the product's own cost.
+The finished model is immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -47,8 +48,9 @@ _BLOCKS = ("<u4", "<u4", "<u4", "<f8")
 # largest similarity load_cache accepts covers every rounding of those steps.
 MAX_SIMILARITY = 1 + 4 * 2.0**-52
 
-# build_similarity forms the product this many entries' worth of full rows
-# at a time (at least one row), in scratch buffers reused from block to block.
+# build_similarity forms the product a block of item rows at a time, in
+# scratch buffers reused from block to block, each block holding rows whose
+# entries are bounded by this many (or by the item count, if larger).
 BLOCK_ENTRIES = 2**15
 
 
@@ -102,18 +104,30 @@ class SimilarityModel:
 def build_similarity(train: Dataset) -> SimilarityModel:
     """Build the item-item cosine model from a training set.
 
-    Raises ValueError for an empty training set or one in which a user rates
-    an item twice.
+    Raises ValueError for an empty training set, one whose ``indptr`` does
+    not run from 0 to its rating count without falling or that rates an item
+    index outside [0, n_items), and one in which a user rates an item twice.
     """
     if train.n_ratings == 0:
         raise ValueError("cannot build similarity model from an empty training set")
     n_users, n_items, n_ratings = train.n_users, train.n_items, train.n_ratings
+    # the kernels below index by these arrays and check no bounds
+    items = train.ratings[:, 0]
+    if (
+        len(train.indptr) != n_users + 1
+        or train.indptr[0] != 0
+        or n_ratings != len(items)
+        or np.any(np.diff(train.indptr) < 0)
+    ):
+        raise ValueError("training set's indptr does not run from 0 to its rating count without falling")
+    if np.any((items < 0) | (items >= n_items)):
+        raise ValueError(f"training set rates an item index outside [0, {n_items})")
     # R^T R - diag(counts) is the product A B of B = [R; -diag(counts)] and
     # A = [R^T | I], B's pattern transposed with ones: the diagonal sums to
     # exactly 0, which csr_matmat does not store, and every other sum is a
     # positive co-count.  R as CSR is the training set's indptr and item column.
     b_indptr = np.concatenate((train.indptr, n_ratings + np.arange(1, n_items + 1)))
-    b_indices = np.concatenate((train.ratings[:, 0], np.arange(n_items)))
+    b_indices = np.concatenate((items, np.arange(n_items)))
     a_indptr, a_indices = np.empty(n_items + 1, np.int64), np.empty_like(b_indices)
     a_data, b_data = np.ones(len(b_indices)), np.ones(len(b_indices))
     # A as CSR is B's CSC arrays: each item's raters in ascending order, then
@@ -131,6 +145,7 @@ def build_similarity(train: Dataset) -> SimilarityModel:
     nnz = _sparsetools.csr_matmat_maxnnz(
         n_items, n_items, a_indptr, a_indices, b_indptr, b_indices
     ) - n_items
+    cuts, size = _row_blocks(a_indptr, a_indices, b_indptr)
     # one index dtype holds every index array, the model's included, as the
     # kernels take one and do no bounds checks
     idx = np.int64 if max(nnz, len(b_indices), n_users + n_items) >= 2**31 else np.int32
@@ -140,13 +155,10 @@ def build_similarity(train: Dataset) -> SimilarityModel:
     inv_sqrt = np.divide(1.0, np.sqrt(counts), out=np.zeros(n_items), where=counts > 0)
     indptr, indices, data = np.zeros(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz)
 
-    rows = max(1, BLOCK_ENTRIES // n_items)
-    # a block's product rows and their transpose; a row holds at most n_items
-    # entries
-    bp, bj, bx = np.empty(rows + 1, idx), np.empty(rows * n_items, idx), np.empty(rows * n_items)
+    # a block's product rows and their transpose
+    bp, bj, bx = np.empty(max(np.diff(cuts)) + 1, idx), np.empty(size, idx), np.empty(size)
     tp, tj, tx = np.empty(n_items + 1, idx), np.empty_like(bj), np.empty_like(bx)
-    for lo in range(0, n_items, rows):
-        hi = min(lo + rows, n_items)
+    for lo, hi in zip(cuts, cuts[1:]):
         _sparsetools.csr_matmat(
             hi - lo, n_items, a_indptr[lo:hi + 1], a_indices, a_data,
             b_indptr, b_indices, b_data, bp, bj, bx,
@@ -165,6 +177,31 @@ def build_similarity(train: Dataset) -> SimilarityModel:
         s *= f
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
     return SimilarityModel(matrix, counts)
+
+
+def _row_blocks(
+    a_indptr: np.ndarray, a_indices: np.ndarray, b_indptr: np.ndarray
+) -> tuple[list[int], int]:
+    """Cut the rows of the product A B into blocks for build_similarity;
+    returns the cut points (0 first, the item count last) and an entry count
+    that bounds every block's product.
+
+    Row i of the product holds at most n_items entries, and at most one per
+    entry of the B rows it sums (its raters' profiles and its own row).
+    Besides its entries a block costs O(n_items) (the product's dense
+    accumulator, the transposes' pass over every column), so a block takes
+    rows while their bounds add up to ``BLOCK_ENTRIES`` or n_items, whichever
+    is larger: the blocks' fixed costs then add up to at most twice the
+    bounds plus n_items.
+    """
+    n_items = len(a_indptr) - 1
+    bound = np.minimum(np.add.reduceat(np.diff(b_indptr)[a_indices], a_indptr[:-1]), n_items)
+    budget, ends, cuts = max(BLOCK_ENTRIES, n_items), np.cumsum(bound), [0]
+    while cuts[-1] < n_items:
+        done = ends[cuts[-1] - 1] if cuts[-1] else 0
+        # every bound is at most the budget, so each block takes a row
+        cuts.append(int(np.searchsorted(ends, done + budget, side="right")))
+    return cuts, min(budget, int(ends[-1]))
 
 
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:

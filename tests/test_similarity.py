@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from driftcf import similarity
 from driftcf.cli import main
-from driftcf.dataset import preprocess, split_leave_latest
+from driftcf.dataset import Dataset, preprocess, split_leave_latest
 from driftcf.similarity import (
     CacheFormatError,
     CacheMismatchError,
@@ -81,6 +81,50 @@ class TestBuildSimilarity:
         with pytest.raises(ValueError, match="twice"):
             build_similarity(train)
 
+    @pytest.mark.parametrize(
+        "indptr, items, message",
+        [
+            ([0, 2, 4], [0, 1, 0, 40_000_000], "outside"),
+            ([0, 2, 4], [0, 1, -1, 1], "outside"),
+            ([0, 3, 2, 4], [0, 1, 0, 1], "indptr"),
+            ([1, 2, 4], [0, 1, 0, 1], "indptr"),
+            ([0, 2, 3], [0, 1, 0, 1], "indptr"),
+            ([0, 4], [0, 1, 0, 1], "indptr"),
+        ],
+    )
+    def test_inconsistent_arrays_rejected(self, indptr, items, message):
+        # the build's kernels check no bounds: each of these used to crash
+        # or read past an array
+        n_users = 3 if len(indptr) == 4 else 2
+        ratings = np.stack([np.array(items), np.arange(len(items))], axis=1)
+        train = Dataset(list("abc")[:n_users], ["x", "y"], np.array(indptr), ratings)
+        with pytest.raises(ValueError, match=message):
+            build_similarity(train)
+
+    def test_sparse_catalog_takes_few_blocks(self, monkeypatch):
+        # user k rates items 2k and 2k + 1 alone: 100,000 items, each row
+        # one entry, which a block per BLOCK_ENTRIES // n_items rows would
+        # have formed one row at a time
+        n_users = 50_000
+        items = np.arange(2 * n_users)
+        ratings = np.stack([items, items], axis=1)
+        train = Dataset(
+            [f"u{k}" for k in range(n_users)], [f"i{j}" for j in items],
+            np.arange(0, 2 * n_users + 1, 2), ratings,
+        )
+        blocks = []
+        matmat = similarity._sparsetools.csr_matmat
+
+        def counted(n_row, *args):
+            blocks.append(n_row)
+            return matmat(n_row, *args)
+
+        monkeypatch.setattr(similarity._sparsetools, "csr_matmat", counted)
+        model = build_similarity(train)
+        assert sum(blocks) == 2 * n_users and len(blocks) <= 7, blocks
+        m = model.matrix
+        assert np.array_equal(m.indices, items ^ 1) and np.all(m.data == 1.0)
+
     def test_diagonal_never_stored(self):
         rng = random.Random(5)
         train = random_dataset(rng)
@@ -93,7 +137,8 @@ class TestBuildSimilarity:
 
 class TestCooReference:
     def test_build_matches_coo_reference_bit_for_bit(self):
-        seen = {"unrated item": 0, "short last block": 0}
+        seen = {"unrated item": 0, "several blocks": 0, "one-row block": 0, "several-row block": 0}
+        matmat = similarity._sparsetools.csr_matmat
 
         @settings(max_examples=80, deadline=None)
         @given(rng=st.randoms(use_true_random=False))
@@ -103,20 +148,31 @@ class TestCooReference:
             matrix, counts, sq_sums = coo_similarity(train)
             expected = (matrix.indptr, matrix.indices, matrix.data, counts, sq_sums)
             n = train.n_items
-            # one block, one-row blocks, and blocks of a row count that does
-            # not divide n_items (from 3 items on)
-            for rows in (None, 1, n // 2 + 1):
+            # one block, then blocks cut at n_items entries (the least a block
+            # may take) and at 3 n_items
+            for entries in (None, 1, 3 * n):
+                blocks = []
+
+                def counted(n_row, *args):
+                    blocks.append(n_row)
+                    return matmat(n_row, *args)
+
                 with pytest.MonkeyPatch.context() as mp:
-                    if rows is not None:
-                        mp.setattr(similarity, "BLOCK_ENTRIES", rows * n)
+                    if entries is not None:
+                        mp.setattr(similarity, "BLOCK_ENTRIES", entries)
+                    mp.setattr(similarity._sparsetools, "csr_matmat", counted)
                     model = build_similarity(train)
+                assert sum(blocks) == n
                 assert model.matrix.has_canonical_format
                 for got, want in zip(model_arrays(model), expected):
                     assert got.dtype == want.dtype
                     assert got.tobytes() == want.tobytes()
+                if len(blocks) > 1:
+                    seen["several blocks"] += 1
+                    seen["one-row block"] += 1 in blocks
+                    seen["several-row block"] += max(blocks) > 1
             # an item whose only rating became a probe has no training rater
             seen["unrated item"] += bool(np.any(model.user_counts == 0))
-            seen["short last block"] += n % (n // 2 + 1) != 0
 
         check()
         assert all(seen.values()), seen
