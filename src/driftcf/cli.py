@@ -288,10 +288,7 @@ def _cmd_sweep(args) -> int:
     n_list = _parse_n_list(args.n)
     grid = ParamGrid.default(families, args.grid_points)
     result = grid_sweep(dataset, grid, args.objective_n, n_list)
-    depths = list(n_list)
-    if args.objective_n not in depths:
-        depths.append(args.objective_n)
-    _emit(args.table_out, _sweep_csv(result.rows, depths))
+    _emit(args.table_out, _sweep_csv(result.rows, result.depths))
     if args.best_out:
         best = {
             "objective_n": result.objective_n,

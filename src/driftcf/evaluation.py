@@ -153,6 +153,9 @@ class SweepResult:
     best_row: dict
     rows: list[dict]
     objective_n: int
+    # the depths every row's hits are scored at: n_list, then objective_n
+    # if n_list lacks it
+    depths: list[int]
 
     def best_per_family(self) -> dict[str, dict]:
         best: dict[str, dict] = {}
@@ -197,4 +200,4 @@ def grid_sweep(
         for (family, params, spec), report in zip(entries, reports)
     ]
     best_idx = max(range(len(rows)), key=lambda k: rows[k]["hit_rate"][objective_n])
-    return SweepResult(rows[best_idx], rows, objective_n)
+    return SweepResult(rows[best_idx], rows, objective_n, depths)

@@ -18,7 +18,9 @@ and written straight into the model's arrays, which one symbolic pass
 sized beforehand.  A block holds at most ``BLOCK_ENTRIES`` entries, or
 n_items if that is larger, so a build holds the model plus one block, and
 the blocks' fixed O(n_items) costs stay within the product's own cost.
-The finished model is immutable and safe for concurrent reads.
+The finished model is immutable and safe for concurrent reads.  Its binary
+cache stores each pair once, in the strict upper triangle U; a load returns
+U + U^T, so the loaded model is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -35,12 +37,12 @@ from .atomic import atomic_open
 from .dataset import Dataset
 
 _CACHE_MAGIC = b"DCFSIM"
-_CACHE_VERSION = 3
+_CACHE_VERSION = 4
 # Cache layout, little-endian; save_cache and load_cache both read it here.
 # magic, version, training-set SHA-256, item count, entry count
 _HEADER = struct.Struct("<6sH32sIQ")
 # after the header: user counts and row lengths (one per item), then column
-# indices and similarities (one per entry, rows in item order)
+# indices and similarities of the strict upper triangle, rows in item order
 _BLOCKS = ("<u4", "<u4", "<u4", "<f8")
 
 # build_similarity rounds s_ij = c_ij * (1/sqrt(n_i) * 1/sqrt(n_j)) in six
@@ -207,47 +209,44 @@ def _row_blocks(
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:
     """Write a binary cache of the model, keyed by the training set hash.
 
-    Layout: a header (magic, version, 32-byte SHA-256 digest, item count,
-    entry count), then the model's arrays: user counts, row lengths, column
-    indices and similarities.  The file appears atomically.
+    ``model`` must be as ``build_similarity`` returns it: symmetric, with no
+    diagonal entry.  Layout: a header (magic, version, SHA-256 digest, item
+    count, entry count), then the user counts and the strict upper triangle's
+    row lengths, column indices and similarities.  The file appears atomically.
     """
     digest = bytes.fromhex(dataset_hash)
     if len(digest) != 32:
         raise ValueError("dataset_hash must be a 64-character hex SHA-256")
     m = model.matrix
-    arrays = (model.user_counts, np.diff(m.indptr), m.indices, m.data)
+    row = np.repeat(np.arange(model.n_items, dtype=m.indices.dtype), np.diff(m.indptr))
+    upper = m.indices > row
+    row = row[upper]
+    lengths = np.diff(np.searchsorted(row, np.arange(model.n_items + 1, dtype=row.dtype)))
     with atomic_open(path, "wb") as fh:
-        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, model.n_items, m.nnz))
-        for dtype, arr in zip(_BLOCKS, arrays):
-            fh.write(np.ascontiguousarray(arr, dtype=dtype))
+        fh.write(_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, digest, model.n_items, len(row)))
+        fh.write(np.ascontiguousarray(model.user_counts, dtype=_BLOCKS[0]))
+        fh.write(np.ascontiguousarray(lengths, dtype=_BLOCKS[1]))
+        # one entry array's upper-triangle copy at a time
+        for dtype, arr in zip(_BLOCKS[2:], (m.indices, m.data)):
+            fh.write(np.ascontiguousarray(arr[upper], dtype=dtype))
 
 
 def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     """Load a cached model, refusing one built from a different dataset.
 
-    Raises CacheFormatError for a malformed file: truncated or trailing
-    bytes, row lengths that do not add up to the entry count, a row whose
-    column indices are not strictly increasing and below the item count or
-    that holds its own item, a similarity that is not finite and positive or
-    that exceeds 1 by more than rounding (``MAX_SIMILARITY``), or a matrix
-    that is not bit for bit equal to its transpose.  An error in item k's
-    row names it as record k.
+    The file holds the strict upper triangle U and the model is U + U^T, so
+    s_ip reads as s_pi.  Raises CacheFormatError for a malformed file:
+    truncated or trailing bytes, row lengths that do not add up to the entry
+    count, a row whose columns are not strictly increasing from above its
+    own item to below the item count, or a similarity that is not finite and
+    positive or exceeds 1 by more than rounding (``MAX_SIMILARITY``).  An
+    error in item k's row names it as record k.
     """
     counts, indptr, indices, data = _read_cache(path, dataset_hash)
     _check_entries(path, indptr, indices, data)
-    n_items = len(counts)
-    # _check_entries proved every row's columns strictly increasing
-    matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
-    # ssnr collection reads s_ip from the probe's row, as s_pi
-    transposed = matrix.T.tocsr()
-    if not (
-        np.array_equal(transposed.indptr, matrix.indptr)
-        and np.array_equal(transposed.indices, matrix.indices)
-        and np.array_equal(transposed.data, matrix.data)
-    ):
-        raise CacheFormatError(f"{path}: similarity matrix is not symmetric")
-    del transposed
-    return SimilarityModel(matrix, counts)
+    # U is checked canonical and strictly upper, so the sum copies each entry
+    upper = sp.csr_matrix((data, indices, indptr), shape=(len(counts),) * 2)
+    return SimilarityModel(upper + upper.T, counts)
 
 
 def _read_cache(
@@ -294,7 +293,7 @@ def _read_cache(
 def _check_entries(path: str, indptr: np.ndarray, j: np.ndarray, s: np.ndarray) -> None:
     """Check every cache entry at once; a CacheFormatError names the first
     failing record and, within it, the first failing check in the order
-    column order, diagonal, value."""
+    column order, column above its row, value."""
     n_items = len(indptr) - 1
     starts = indptr[:-1]
     not_increasing = np.zeros(len(j), dtype=bool)
@@ -305,7 +304,7 @@ def _check_entries(path: str, indptr: np.ndarray, j: np.ndarray, s: np.ndarray) 
         # a column index of 2**31 or more reads as negative here
         (not_increasing | (j < 0) | (j >= n_items),
          f"column indices are not strictly increasing below {n_items}"),
-        (j == row_of, "holds a diagonal entry"),
+        (j <= row_of, "has a column at or below its row"),
         # a nan similarity would make every probe it touches rank first
         (~(np.isfinite(s) & (s > 0)), "has a similarity not finite and > 0"),
         (s > MAX_SIMILARITY, "has a similarity above 1"),

@@ -232,6 +232,18 @@ class TestGridSweep:
         table_best = max(row["hit_rate"][10] for row in result.rows)
         assert result.best_row["hit_rate"][10] == table_best
 
+    @pytest.mark.parametrize("objective_n, n_list, depths", [
+        (10, [10, 20], [10, 20]),
+        (5, [10, 20], [10, 20, 5]),
+        (10, [10, 10], [10, 10]),
+    ])
+    def test_depths_are_the_scored_ones(self, objective_n, n_list, depths):
+        ds = dataset_where_probe_always_wins()
+        grid = ParamGrid({"constant": {}})
+        result = grid_sweep(ds, grid, objective_n=objective_n, n_list=n_list)
+        assert result.depths == depths
+        assert list(result.rows[0]["hit_rate"]) == list(dict.fromkeys(depths))
+
     def test_tie_breaks_to_earlier_grid_order(self):
         ds = dataset_where_probe_always_wins()
         # constant and window with a huge Tw behave identically here

@@ -357,6 +357,13 @@ class TestCache:
         loaded = load_cache(path, train.content_hash())
         assert (loaded.matrix != model.matrix).nnz == 0
 
+    def test_each_pair_stored_once(self, small_cache):
+        # the strict upper triangle of a model in which every pair is stored
+        _digest, blob = small_cache
+        _counts, lengths, j, _s = cache_arrays(blob)
+        assert CACHE_HEADER.unpack_from(blob)[-1] == 3
+        assert lengths.tolist() == [2, 1, 0] and j.tolist() == [1, 2, 2]
+
     def test_truncated_file_rejected(self, tmp_path):
         train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
         model = build_similarity(train)
@@ -370,7 +377,8 @@ class TestCache:
 
 # The cache layout, little-endian: magic (6), version (2), digest (32), item
 # count (4) and entry count (8); then user counts and row lengths (u4 per
-# item), column indices (u4 per entry) and similarities (f8 per entry).
+# item), column indices (u4 per entry) and similarities (f8 per entry), the
+# entries being those of the strict upper triangle.
 CACHE_HEADER = struct.Struct("<6sH32sIQ")
 CACHE_BLOCKS = ("<u4", "<u4", "<u4", "<f8")
 N_ITEMS_OFFSET, NNZ_OFFSET = 40, 44
@@ -418,15 +426,13 @@ def corrupt_cache(blob: bytes, kind: str) -> bytes:
         j[lo], j[lo + 1] = j[lo + 1], j[lo]
     elif kind == "nan_similarity":
         s[lo] = float("nan")
-    elif kind == "asymmetric_value":
-        s[lo] /= 2
     elif kind == "similarity_above_one":
-        mirror = starts[j[lo]] + list(j[starts[j[lo]]:starts[j[lo] + 1]]).index(k)
-        s[lo] = s[mirror] = 1.5
-    elif kind == "diagonal_entry":
-        at = lo + int(np.sum(j[lo:starts[k + 1]] < k))
-        j, s = np.insert(j, at, k), np.insert(s, at, 0.5)
-        lengths[k] += 1
+        s[lo] = 1.5
+    elif kind in ("diagonal_entry", "entry_below_row"):
+        # row k's own item, or row k + 1 given item k: each goes first in its row
+        row = k if kind == "diagonal_entry" else k + 1
+        j, s = np.insert(j, starts[row], k), np.insert(s, starts[row], 0.5)
+        lengths[row] += 1
     else:
         raise ValueError(kind)
     return cache_bytes(blob, counts, lengths, j, s)
@@ -440,15 +446,16 @@ CORRUPTIONS = (
     "duplicate_column",
     "descending_columns",
     "nan_similarity",
-    "asymmetric_value",
     "similarity_above_one",
     "diagonal_entry",
+    "entry_below_row",
 )
 
 
 @pytest.fixture(scope="module")
 def small_cache(tmp_path_factory):
-    """Three items co-rated by two users: every row holds two entries."""
+    """Three items co-rated by two users: the rows hold 2, 1 and 0 stored
+    entries, those above each row."""
     train = train_of(
         ("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3),
         ("u2", "b", 4), ("u1", "c", 5), ("u2", "c", 6),
@@ -496,14 +503,19 @@ class TestCorruptCache:
             with pytest.raises(CacheFormatError, match="truncated"):
                 load_cache(str(path), digest)
 
-    def test_version_one_cache_rejected(self, cli_cache, tmp_path, capsys):
-        # version 1 keyed caches by a JSON hash of the tuple profiles
+    @pytest.mark.parametrize("version", [1, 3])
+    def test_old_version_cache_rejected(self, cli_cache, tmp_path, capsys, version):
+        # version 3 stored every pair twice, both halves of the symmetric
+        # matrix, in this layout; version 1 keyed caches by a JSON hash of the
+        # tuple profiles
         log, blob = cli_cache
-        out = bytearray(blob)
-        struct.pack_into("<H", out, 6, 1)
         path = tmp_path / "old.bin"
+        path.write_bytes(blob)
+        m = load_cache(str(path), blob[8:40].hex()).matrix
+        out = bytearray(cache_bytes(blob, cache_arrays(blob)[0], np.diff(m.indptr), m.indices, m.data))
+        struct.pack_into("<H", out, 6, version)
         path.write_bytes(bytes(out))
-        with pytest.raises(CacheFormatError, match="unsupported cache version 1"):
+        with pytest.raises(CacheFormatError, match=f"unsupported cache version {version}"):
             load_cache(str(path), blob[8:40].hex())
         code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
         assert code == 1
@@ -563,6 +575,7 @@ class TestCorruptCache:
         ("nan_similarity", 0, "has a similarity not finite and > 0"),
         ("nan_similarity", -1, "has a similarity not finite and > 0"),
         ("similarity_above_one", 0, "has a similarity above 1"),
+        ("diagonal_entry", 0, "has a column at or below its row"),
     ])
     def test_error_names_the_failing_record(self, cli_cache, tmp_path, kind, entry, defect):
         _log, blob = cli_cache
@@ -571,6 +584,8 @@ class TestCorruptCache:
         at = int(lengths[:k].sum()) + entry % int(lengths[k])  # the row's first or last entry
         if kind == "descending_columns":
             j[at - 1], j[at] = j[at], j[at - 1]
+        elif kind == "diagonal_entry":
+            j[at] = k
         else:
             s[at] = float("nan") if kind == "nan_similarity" else 1.5
         path = tmp_path / "bad.bin"
