@@ -9,7 +9,6 @@ families and parameter grids.
 
 from .dataset import (
     Dataset,
-    LogFormat,
     ProbeSet,
     RatingLog,
     parse_events,

@@ -22,14 +22,7 @@ import numpy as np
 
 from . import __version__
 from .atomic import atomic_open
-from .dataset import (
-    Dataset,
-    LogFormat,
-    parse_events,
-    preprocess,
-    split_leave_latest,
-    write_events,
-)
+from .dataset import Dataset, parse_events, preprocess, split_leave_latest, write_events
 from .decay import FAMILIES, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
@@ -94,9 +87,9 @@ def _json_text(obj) -> str:
     return json.dumps(_round12(obj), indent=2) + "\n"
 
 
-def _load_dataset(path: str, fmt: LogFormat = LogFormat()) -> Dataset:
+def _load_dataset(path: str) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        log = parse_events(fh, fmt)
+        log = parse_events(fh)
     if log.skipped:
         print(f"note: skipped {log.skipped} malformed line(s) in {path}", file=sys.stderr)
     return preprocess(log)
@@ -196,8 +189,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_ingest(args) -> int:
-    fmt = LogFormat(args.delimiter, tuple(args.columns.split(",")))
-    dataset = _load_dataset(args.input, fmt)
+    dataset = _load_dataset(args.input)
     _emit(args.out, _json_text(dataset.summary()))
     return 0
 
@@ -328,12 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="parse, preprocess, and summarize a log")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", default="-", help="summary JSON path (default stdout)")
-    p.add_argument("--delimiter", default="\t")
-    p.add_argument(
-        "--columns",
-        default="user,item,timestamp",
-        help="column order, a permutation of user,item,timestamp",
-    )
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("analyze-ssnr", help="ssnr-versus-age curve and trend fit")

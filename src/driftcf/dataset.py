@@ -1,12 +1,14 @@
 """Event log parsing, preprocessing, and the leave-the-latest-out split.
 
-The raw input is a line-oriented log of (user, item, timestamp) triples
-carrying binary implicit feedback, parsed into columns (``RatingLog``).
-Preprocessing collapses duplicate (user, item) pairs to their earliest
-timestamp, removes items saved by fewer than two distinct users (they
-share no users with anything else and cannot contribute to similarities)
-and indexes the rest into one CSR-style layout (``Dataset``).  The split
-holds out each user's chronologically latest rating as a probe.
+The raw input is a log of (user, item, timestamp) triples carrying
+binary implicit feedback, one ``user<TAB>item<TAB>epoch-seconds`` line
+per event, the one line format that is read and written.  It is parsed
+into columns (``RatingLog``).  Preprocessing collapses duplicate (user,
+item) pairs to their earliest timestamp, removes items saved by fewer
+than two distinct users (they share no users with anything else and
+cannot contribute to similarities) and indexes the rest into one
+CSR-style layout (``Dataset``).  The split holds out each user's
+chronologically latest rating as a probe.
 
 All values produced here are read-only after construction and safe for
 concurrent reads.
@@ -24,6 +26,11 @@ import numpy as np
 
 # Timestamps are held in int64 arrays.
 MAX_TIMESTAMP = 2**63 - 1
+
+
+def _breaks_a_line(text: str) -> bool:
+    """Whether ``text`` holds a tab, CR or LF, which end a field or a line."""
+    return "\t" in text or "\r" in text or "\n" in text
 
 
 def _read_only(values, shape_tail: tuple[int, ...] = ()) -> np.ndarray:
@@ -67,43 +74,24 @@ class RatingLog:
         return len(self.timestamps)
 
 
-@dataclass(frozen=True)
-class LogFormat:
-    """Column order and delimiter of a delimiter-separated event log."""
-
-    delimiter: str = "\t"
-    columns: tuple[str, str, str] = ("user", "item", "timestamp")
-
-    def __post_init__(self) -> None:
-        if not self.delimiter:
-            raise ValueError(f"delimiter must be a non-empty string, got {self.delimiter!r}")
-        if sorted(self.columns) != ["item", "timestamp", "user"]:
-            raise ValueError(
-                "columns must be a permutation of (user, item, timestamp), "
-                f"got {self.columns!r}"
-            )
-
-
-def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) -> RatingLog:
+def parse_events(stream: IO[str] | Iterable[str]) -> RatingLog:
     """Parse an event log stream into a RatingLog.
 
+    Each line is ``user<TAB>item<TAB>timestamp``, ending in LF or CRLF.
     Malformed lines (wrong field count, a timestamp that is not a string
     of ASCII digits or exceeds 2**63 - 1, empty identifiers) are skipped
     and counted, not fatal.  I/O errors propagate.
     """
-    u_col = fmt.columns.index("user")
-    i_col = fmt.columns.index("item")
-    t_col = fmt.columns.index("timestamp")
     users: list[str] = []
     items: list[str] = []
     stamps: list[int] = []
     skipped = 0
     for line in stream:
-        fields = line.rstrip("\r\n").split(fmt.delimiter)
+        fields = line.rstrip("\r\n").split("\t")
         if len(fields) != 3:
             skipped += 1
             continue
-        user, item, stamp = fields[u_col], fields[i_col], fields[t_col]
+        user, item, stamp = fields
         # int() alone would also take "+12", " 12", "1_000" and non-ASCII
         # digits; a digit string of at most 18 characters is below 2**63
         if not (user and item and stamp.isascii() and stamp.isdigit()) or (
@@ -117,11 +105,19 @@ def parse_events(stream: IO[str] | Iterable[str], fmt: LogFormat = LogFormat()) 
     return RatingLog(users, items, np.array(stamps, dtype=np.int64), skipped)
 
 
-def write_events(log: RatingLog, fh: IO[str], fmt: LogFormat = LogFormat()) -> None:
-    """Serialize a RatingLog in the given line format."""
-    columns = {"user": log.users, "item": log.items, "timestamp": map(str, log.timestamps.tolist())}
-    rows = zip(*(columns[name] for name in fmt.columns))
-    fh.writelines(fmt.delimiter.join(row) + "\n" for row in rows)
+def write_events(log: RatingLog, fh: IO[str]) -> None:
+    """Write a RatingLog as ``user<TAB>item<TAB>timestamp`` lines ending
+    in LF, one per event in order.
+
+    An id holding a tab, CR or LF would not read back as the same event,
+    so the first such id, in event order, is named in a ValueError before
+    anything is written.
+    """
+    if _breaks_a_line("".join(log.users) + "".join(log.items)):
+        bad = next(x for pair in zip(log.users, log.items) for x in pair if _breaks_a_line(x))
+        raise ValueError(f"identifier {bad!r} holds a tab, CR or LF and cannot be written")
+    rows = zip(log.users, log.items, map(str, log.timestamps.tolist()))
+    fh.writelines(f"{user}\t{item}\t{stamp}\n" for user, item, stamp in rows)
 
 
 @dataclass(eq=False)

@@ -135,8 +135,8 @@ def collect_ssnr_ages(
     ages = np.repeat(probe_times, lengths) - times
 
     # s_ip == s_pi bit for bit (build_similarity scales both entries with one
-    # product and load_cache checks symmetry), so each user's similarities
-    # are read from one scatter of the probe's row.
+    # product, and load_cache returns U + U^T, symmetric by construction), so
+    # each user's similarities are read from one scatter of the probe's row.
     s = np.empty(len(items))
     dense = np.zeros(model.n_items)
     ends = np.cumsum(lengths)
@@ -227,7 +227,10 @@ def log_bin_average(
 
 def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float] | None:
     """Least-squares line in log-log space; returns (slope, ssr), or None
-    when the bins cannot fix a line, as when they share one midpoint."""
+    when the bins cannot fix a line: fewer than 2 of them, or all at one
+    midpoint."""
+    if len(log_x) < 2:
+        return None
     (slope, intercept), _ssr, rank, _sv, _rcond = np.polyfit(log_x, log_y, 1, full=True)
     if rank < 2:
         return None
@@ -263,47 +266,34 @@ def fit_piecewise_trend(
     log_y = np.array([math.log(b.mean_ssnr) for b in usable])
 
     # Each outer segment's fit depends on one breakpoint only, so it is
-    # made once per grid value, when a candidate first needs it.
+    # made once per grid value.
+    shorts = [log_x < math.log(t_s) for t_s in ts_grid]
     longs = [log_x >= math.log(t_l) for t_l in tl_grid]
-    short_fits: dict[int, tuple[float, float] | None] = {}
-    long_fits: dict[int, tuple[float, float] | None] = {}
-    best: tuple[float, float, float] | None = None
-    best_fit: TrendFit | None = None
-    for a, t_s in enumerate(ts_grid):
-        short = log_x < math.log(t_s)
-        for b, t_l in enumerate(tl_grid):
-            if t_s > t_l:
+    short_fits = [_segment_fit(log_x[short], log_y[short]) for short in shorts]
+    long_fits = [_segment_fit(log_x[long], log_y[long]) for long in longs]
+    candidates = []
+    for t_s, short, short_fit in zip(ts_grid, shorts, short_fits):
+        for t_l, long, long_fit in zip(tl_grid, longs, long_fits):
+            if t_s > t_l or short_fit is None or long_fit is None:
                 continue
-            long = longs[b]
             plat = ~short & ~long
-            if short.sum() < 2 or plat.sum() < 2 or long.sum() < 2:
+            if plat.sum() < 2:
                 continue
             log_c = float(np.mean(log_y[plat]))
             ssr_plat = float(np.sum((log_y[plat] - log_c) ** 2))
-            if a not in short_fits:
-                short_fits[a] = _segment_fit(log_x[short], log_y[short])
-            if b not in long_fits:
-                long_fits[b] = _segment_fit(log_x[long], log_y[long])
-            if short_fits[a] is None or long_fits[b] is None:
-                continue
-            slope_s, ssr_s = short_fits[a]
-            slope_l, ssr_l = long_fits[b]
-            residual = ssr_s + ssr_plat + ssr_l
-            key = (residual, float(t_s), float(t_l))
-            if best is None or key < best:
-                best = key
-                best_fit = TrendFit(
-                    t_s=float(t_s),
-                    t_l=float(t_l),
-                    k_s=max(0.0, -slope_s),
-                    k_l=max(0.0, -slope_l),
-                    plateau=math.exp(log_c),
-                    residual=residual,
-                )
-    if best_fit is None:
+            residual = short_fit[1] + ssr_plat + long_fit[1]
+            candidates.append((residual, float(t_s), float(t_l), short_fit[0], long_fit[0], log_c))
+    if not candidates:
         raise TrendFitError(
             f"no (t_s, t_l) candidate had at least 2 usable bins per segment, "
             f"the outer ones at 2 midpoints or more ({len(usable)} usable bins)"
         )
-    return best_fit
-
+    residual, t_s, t_l, slope_s, slope_l, log_c = min(candidates)
+    return TrendFit(
+        t_s=t_s,
+        t_l=t_l,
+        k_s=max(0.0, -slope_s),
+        k_l=max(0.0, -slope_l),
+        plateau=math.exp(log_c),
+        residual=residual,
+    )

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from driftcf.cli import main
+from driftcf.cli import build_parser, main
 from driftcf.decay import FAMILIES
 
 
@@ -89,21 +91,12 @@ class TestIngest:
         payload = json.loads(err.strip().splitlines()[-1])
         assert "error" in payload
 
-    def test_custom_columns(self, tmp_path, capsys):
-        path = tmp_path / "c.csv"
-        path.write_text("5,u1,a\n6,u2,a\n7,u1,b\n8,u2,b\n")
-        code, out, _err = run(
-            capsys, "ingest", "--in", str(path),
-            "--delimiter", ",", "--columns", "timestamp,user,item",
-        )
-        assert code == 0
-        assert json.loads(out)["ratings"] == 4
-
-    def test_empty_delimiter_names_it(self, small_log, capsys):
-        code, out, err = run(capsys, "ingest", "--in", str(small_log), "--delimiter", "")
-        assert code == 1
-        assert out == ""
-        assert "error: delimiter must be a non-empty string, got ''" in err
+    @pytest.mark.parametrize("flag", ["--delimiter", "--columns"])
+    def test_log_format_flags_are_usage_errors(self, small_log, capsys, flag):
+        # the log format is fixed: user<TAB>item<TAB>epoch-seconds
+        code, err, _runtime = run_any_exit(capsys, "ingest", "--in", str(small_log), flag, ",")
+        assert code == 2
+        assert f"unrecognized arguments: {flag} ," in err
         assert "Traceback" not in err
 
 
@@ -467,6 +460,25 @@ class TestTopLevel:
         with pytest.raises(SystemExit) as exc:
             main([])
         assert exc.value.code == 2
+
+
+def readme_commands() -> list[str]:
+    """The ``driftcf ...`` lines of README's "Command line" code block,
+    backslash continuations joined."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```\n", 2)[1].replace("\\\n", " ")
+    return [line for line in block.splitlines() if line.startswith("driftcf ")]
+
+
+class TestReadme:
+    def test_command_block_lists_every_subcommand(self):
+        names = {shlex.split(line, comments=True)[1] for line in readme_commands()}
+        assert names == {"synth", "ingest", "analyze-ssnr", "fit-trend", "recommend", "evaluate", "sweep"}
+
+    @pytest.mark.parametrize("line", readme_commands(), ids=lambda line: line.split()[1])
+    def test_command_parses(self, line):
+        build_parser().parse_args(shlex.split(line, comments=True)[1:])
 
 
 @pytest.fixture(scope="module")

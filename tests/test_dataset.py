@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from driftcf.dataset import (
     Dataset,
-    LogFormat,
     RatingLog,
     parse_events,
     preprocess,
@@ -65,11 +64,6 @@ class TestParseEvents:
         with pytest.raises(ValueError):
             RatingLog(["u1"], ["a"], [2**63])
 
-    def test_custom_format(self):
-        fmt = LogFormat(delimiter=",", columns=("timestamp", "user", "item"))
-        log = parse_events(io.StringIO("42,u1,x\n"), fmt)
-        assert log_triples(log) == [("u1", "x", 42)]
-
     def test_write_round_trip(self):
         log = log_of(("u1", "a", 1), ("u2", "b", 2))
         buf = io.StringIO()
@@ -77,13 +71,20 @@ class TestParseEvents:
         back = parse_events(io.StringIO(buf.getvalue()))
         assert log_triples(back) == log_triples(log)
 
-    def test_bad_column_spec_rejected(self):
-        with pytest.raises(ValueError):
-            LogFormat(columns=("user", "item", "item"))
+    def test_crlf_line_ends_accepted(self):
+        log = parse_events(io.StringIO("u1\ta\t1\r\nu2\tb\t2\r\n"))
+        assert log_triples(log) == [("u1", "a", 1), ("u2", "b", 2)]
+        assert log.skipped == 0
 
-    def test_empty_delimiter_rejected(self):
-        with pytest.raises(ValueError, match="delimiter must be a non-empty string, got ''"):
-            LogFormat("")
+    def test_id_with_a_carriage_return_is_not_written(self, tmp_path):
+        # read back through open(), "a\rb" would end a line and leave an
+        # event of a user "b" who never existed
+        log = log_of(("a\rb", "x", 1), ("u2", "x", 2))
+        path = tmp_path / "log.tsv"
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            with pytest.raises(ValueError, match=r"identifier 'a\\rb' holds a tab, CR or LF"):
+                write_events(log, fh)
+        assert path.read_bytes() == b""
 
 
 class TestPreprocess:
@@ -252,11 +253,26 @@ class TestRatingLog:
             log.timestamps[0] = 6
 
 
-# Identifiers without the delimiter, a line break or a surrogate (which the
-# text streams could not encode); a trailing NUL must survive the trip.
+# Identifiers without a tab, CR, LF or surrogate (which the text streams
+# could not encode); commas and a trailing NUL must survive the trip.
+FIELD_BREAKS = "\t\r\n"
 identifiers = st.text(
-    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t,\r\n"), min_size=1, max_size=6
+    st.characters(blacklist_categories=("Cs",), blacklist_characters=FIELD_BREAKS),
+    min_size=1,
+    max_size=6,
 )
+
+
+@st.composite
+def unwritable_identifiers(draw):
+    """An identifier holding at least one tab, CR or LF."""
+    head, tail = draw(identifiers | st.just("")), draw(identifiers | st.just(""))
+    return head + draw(st.sampled_from(FIELD_BREAKS)) + tail
+
+
+def read_back(text: str) -> RatingLog:
+    """Parse ``text`` as the command line reads a file: UTF-8, universal newlines."""
+    return parse_events(io.TextIOWrapper(io.BytesIO(text.encode("utf-8")), encoding="utf-8"))
 
 
 class TestRoundTrip:
@@ -265,20 +281,35 @@ class TestRoundTrip:
         events=st.lists(
             st.tuples(identifiers, identifiers, st.integers(0, 2**63 - 1)), max_size=30
         ),
-        fmt=st.sampled_from([
-            LogFormat(),
-            LogFormat(",", ("timestamp", "user", "item")),
-            LogFormat("\t", ("item", "timestamp", "user")),
-        ]),
     )
-    def test_write_then_parse_returns_the_columns(self, events, fmt):
+    def test_write_then_parse_returns_the_columns(self, events):
         log = rating_log(events)
         buf = io.StringIO()
-        write_events(log, buf, fmt)
-        back = parse_events(io.StringIO(buf.getvalue()), fmt)
+        write_events(log, buf)
+        back = read_back(buf.getvalue())
         assert back.skipped == 0
         assert back.users == log.users and back.items == log.items
         assert back.timestamps.tolist() == log.timestamps.tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        events=st.lists(
+            st.tuples(
+                identifiers | unwritable_identifiers(),
+                identifiers | unwritable_identifiers(),
+                st.integers(0, 2**63 - 1),
+            ),
+            min_size=1,
+            max_size=30,
+        ).filter(lambda events: any(set(FIELD_BREAKS) & set(u + i) for u, i, _t in events)),
+    )
+    def test_id_with_a_field_break_is_refused_before_writing(self, events):
+        first = next(x for u, i, _t in events for x in (u, i) if set(FIELD_BREAKS) & set(x))
+        buf = io.StringIO()
+        with pytest.raises(ValueError) as exc:
+            write_events(rating_log(events), buf)
+        assert str(exc.value) == f"identifier {first!r} holds a tab, CR or LF and cannot be written"
+        assert buf.getvalue() == ""
 
 
 class TestColumnarLayout:
