@@ -4,7 +4,7 @@ rename it over the target, so readers never see a partial file."""
 from __future__ import annotations
 
 import os
-import tempfile
+import secrets
 from contextlib import contextmanager
 from typing import IO, Iterator
 
@@ -12,9 +12,14 @@ from typing import IO, Iterator
 @contextmanager
 def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
     """Open a temp file for writing; it replaces ``path`` on clean exit and
-    is removed if the block raises.  ``kwargs`` go to ``open``."""
+    is removed if the block raises.  ``kwargs`` go to ``open``.
+
+    The temp file is created with mode 0o666 less the umask, as ``open``
+    creates a file, and the rename keeps that mode.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".driftcf-tmp-")
+    tmp = os.path.join(directory, f".driftcf-tmp-{secrets.token_hex(8)}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh

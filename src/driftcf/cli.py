@@ -27,7 +27,6 @@ from .decay import FAMILIES, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
     DEFAULT_POINTS_PER_PARAM,
-    EvalReport,
     ParamGrid,
     evaluate_split,
     grid_sweep,
@@ -43,6 +42,7 @@ from .temporal import (
     DEFAULT_TS_GRID_RANGE,
     BinnedCurve,
     CurveBin,
+    check_binning,
     collect_ssnr_ages,
     fit_piecewise_trend,
     log_bin_average,
@@ -119,20 +119,6 @@ def _parse_range(text: str) -> tuple[float, float]:
     return pair
 
 
-def _report_json(report: EvalReport, normalize: bool) -> dict:
-    results = []
-    for r in report.results:
-        row = {"n": r.n, "hits": r.hits, "hit_rate": r.hit_rate}
-        if normalize:
-            row["hit_fraction"] = r.hit_fraction
-        results.append(row)
-    return {
-        "decay": report.decay,
-        "evaluated_users": report.evaluated_users,
-        "results": results,
-    }
-
-
 def _curve_csv(curve: BinnedCurve) -> str:
     lines = ["age_lo,age_hi,mean_ssnr,count"]
     for b in curve.bins:
@@ -195,6 +181,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_analyze_ssnr(args) -> int:
+    check_binning(args.bin_ratio, args.age_min)
     dataset = _load_dataset(args.input)
     train, probes = split_leave_latest(dataset)
     model = _model_for(train, args.sim_cache)
@@ -206,9 +193,9 @@ def _cmd_analyze_ssnr(args) -> int:
         file=sys.stderr,
     )
     curve = log_bin_average(samples, args.bin_ratio, args.age_min)
+    fit = fit_piecewise_trend(curve) if args.trend_out else None
     _emit(args.curve_out, _curve_csv(curve))
-    if args.trend_out:
-        fit = fit_piecewise_trend(curve)
+    if fit is not None:
         _emit(args.trend_out, _json_text(dataclasses.asdict(fit)))
     return 0
 
@@ -251,7 +238,7 @@ def _cmd_evaluate(args) -> int:
     started = time.perf_counter()
     report = evaluate_split(train, probes, model, spec, n_list)
     elapsed = time.perf_counter() - started
-    _emit(args.out, _json_text(_report_json(report, args.normalize_hitrate)))
+    _emit(args.out, _json_text(dataclasses.asdict(report)))
     print(f"note: evaluated in {elapsed:.2f}s", file=sys.stderr)
     return 0
 
@@ -270,8 +257,7 @@ def _sweep_csv(rows: list[dict], n_list: list[int]) -> str:
 
 
 def _best_json(row: dict) -> dict:
-    hit_rate = {str(n): v for n, v in row["hit_rate"].items()}
-    return {"decay": row["decay"], "params": row["params"], "hit_rate": hit_rate}
+    return {"decay": row["decay"], "params": row["params"], "hit_rate": row["hit_rate"]}
 
 
 def _cmd_sweep(args) -> int:
@@ -286,7 +272,7 @@ def _cmd_sweep(args) -> int:
             "objective_n": result.objective_n,
             "best": {"family": result.best_row["family"], **_best_json(result.best_row)},
             "per_family": {
-                family: _best_json(row) for family, row in sorted(result.best_per_family().items())
+                family: _best_json(row) for family, row in sorted(result.best_per_family.items())
             },
         }
         _emit(args.best_out, _json_text(best))
@@ -352,11 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--decay", default="constant")
     p.add_argument("--n", default="10,20,50", help="comma-separated search depths")
-    p.add_argument(
-        "--normalize-hitrate",
-        action="store_true",
-        help="also report hits/users without the 1/N factor",
-    )
     p.add_argument("--sim-cache", help="binary similarity cache to reuse or create")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_evaluate)

@@ -8,8 +8,8 @@ over the users scores every sweep point.  Hit-rate at search depth N is
     H@N = (1 / |U_eval|) * sum over users of h(probe, N) / N,
 
 with h = 1 when the probe appears in the user's top-N list.  Note the
-division by N inside the sum; a plain hit fraction (hits / |U_eval|) is
-reported alongside for comparison with conventions that omit it.
+division by N inside the sum; each result also holds the hit count, so the
+plain hit fraction is hits / |U_eval|.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ class DepthResult:
     n: int
     hits: int
     hit_rate: float
-    hit_fraction: float
 
 
 @dataclass
@@ -80,7 +79,7 @@ def _evaluate_specs(
     count = len(users)
     return [
         EvalReport(format_decay(spec), count, [
-            DepthResult(n, h, h / (count * n), h / count) for n, h in zip(depths, spec_hits)
+            DepthResult(n, h, h / (count * n)) for n, h in zip(depths, spec_hits)
         ])
         for spec, spec_hits in zip(specs, hits.T.tolist())
     ]
@@ -156,15 +155,8 @@ class SweepResult:
     # the depths every row's hits are scored at: n_list, then objective_n
     # if n_list lacks it
     depths: list[int]
-
-    def best_per_family(self) -> dict[str, dict]:
-        best: dict[str, dict] = {}
-        for row in self.rows:
-            family = row["family"]
-            current = best.get(family)
-            if current is None or row["hit_rate"][self.objective_n] > current["hit_rate"][self.objective_n]:
-                best[family] = row
-        return best
+    # each family's first row with the largest objective hit rate
+    best_per_family: dict[str, dict]
 
 
 def grid_sweep(
@@ -173,7 +165,8 @@ def grid_sweep(
     objective_n: int = 10,
     n_list: Sequence[int] = (10, 20, 50),
 ) -> SweepResult:
-    """Evaluate every grid point and pick the best by H@objective_n.
+    """Evaluate every grid point and pick the best by H@objective_n, over
+    the whole grid and within each family.
 
     Ties break toward the earlier grid point.  All points share one split
     and one similarity model, and each user's similarity rows are
@@ -199,5 +192,12 @@ def grid_sweep(
         }
         for (family, params, spec), report in zip(entries, reports)
     ]
-    best_idx = max(range(len(rows)), key=lambda k: rows[k]["hit_rate"][objective_n])
-    return SweepResult(rows[best_idx], rows, objective_n, depths)
+    per_family: dict[str, dict] = {}
+    for row in rows:
+        best = per_family.get(row["family"])
+        if best is None or row["hit_rate"][objective_n] > best["hit_rate"][objective_n]:
+            per_family[row["family"]] = row
+    # each family's rows are contiguous in grid order, so the first maximum
+    # over the family bests is the first maximum over all rows
+    best_row = max(per_family.values(), key=lambda row: row["hit_rate"][objective_n])
+    return SweepResult(best_row, rows, objective_n, depths, per_family)

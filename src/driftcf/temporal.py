@@ -200,6 +200,20 @@ def _bin_index(ages: np.ndarray, ratio: float, age_min: float) -> np.ndarray:
     return k
 
 
+def check_binning(ratio: float, age_min: float) -> None:
+    """Raise ValueError unless ``ratio`` and ``age_min`` give valid bins.
+
+    Bin 0's edges go through the per-bin rule of ``CurveBin``.  No later
+    bin's edges can overflow: a later bin starts at an int64 age, below
+    2**63, which bounds ``ratio`` too.
+    """
+    if not 1 < ratio < math.inf:
+        raise ValueError(f"bin ratio must be finite and exceed 1, got {ratio!r}")
+    if not 1 <= age_min < math.inf:
+        raise ValueError(f"age_min must be finite and at least 1, got {age_min!r}")
+    CurveBin(age_min, age_min * ratio, 0.0, 1)
+
+
 def log_bin_average(
     samples: SsnrSamples,
     ratio: float = DEFAULT_BIN_RATIO,
@@ -211,10 +225,7 @@ def log_bin_average(
     Returns empty-bin-free bins in age order; no samples yield an empty
     curve.  Each bin's sum adds its samples in input order.
     """
-    if not 1 < ratio < math.inf:
-        raise ValueError(f"bin ratio must be finite and exceed 1, got {ratio!r}")
-    if not 1 <= age_min < math.inf:
-        raise ValueError(f"age_min must be finite and at least 1, got {age_min!r}")
+    check_binning(ratio, age_min)
     ks, slot = np.unique(_bin_index(samples.ages, ratio, age_min), return_inverse=True)
     sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))
     counts = np.bincount(slot, minlength=len(ks))

@@ -136,13 +136,25 @@ class TestAnalyzeSsnr:
         ("--age-min", "1e300"),
     ])
     def test_non_finite_binning_rejected(self, small_log, tmp_path, capsys, flag, value):
-        curve = tmp_path / "curve.csv"
+        # refused before the log is read, so not even the cache is written
         code, _out, err = run(
-            capsys, "analyze-ssnr", "--in", str(small_log), "--curve-out", str(curve), flag, value
+            capsys, "analyze-ssnr", "--in", str(small_log), "--curve-out", str(tmp_path / "c.csv"),
+            "--trend-out", str(tmp_path / "t.json"), "--sim-cache", str(tmp_path / "s.bin"),
+            flag, value,
         )
         assert code == 1
         assert "must be finite" in err
-        assert not curve.exists()
+        assert list(tmp_path.iterdir()) == [small_log]
+
+    def test_failed_trend_fit_writes_no_curve(self, small_log, tmp_path, capsys):
+        # every age falls below --age-min, so the curve has one bin to fit
+        code, _out, err = run(
+            capsys, "analyze-ssnr", "--in", str(small_log), "--curve-out", str(tmp_path / "c.csv"),
+            "--trend-out", str(tmp_path / "t.json"), "--age-min", "1e15",
+        )
+        assert code == 1
+        assert "no (t_s, t_l) candidate" in err
+        assert list(tmp_path.iterdir()) == [small_log]
 
     def test_timestamp_above_int64_skipped(self, small_log, tmp_path, capsys):
         padded = tmp_path / "padded.tsv"
@@ -320,14 +332,14 @@ class TestEvaluate:
             assert 0.0 <= r["hit_rate"] <= 1.0 / r["n"]
             assert "hit_fraction" not in r
 
-    def test_normalize_hitrate_column(self, small_log, capsys):
-        code, out, _err = run(
-            capsys, "evaluate", "--in", str(small_log), "--normalize-hitrate",
+    def test_normalize_hitrate_is_usage_error(self, small_log, capsys):
+        # the report holds hits and evaluated_users, whose ratio is the hit fraction
+        code, err, _runtime = run_any_exit(
+            capsys, "evaluate", "--in", str(small_log), "--normalize-hitrate"
         )
-        assert code == 0
-        report = json.loads(out)
-        for r in report["results"]:
-            assert r["hit_fraction"] == pytest.approx(r["hit_rate"] * r["n"])
+        assert code == 2
+        assert "unrecognized arguments: --normalize-hitrate" in err
+        assert "Traceback" not in err
 
     def test_byte_reproducible(self, small_log, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

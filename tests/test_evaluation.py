@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from driftcf.dataset import preprocess
 from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_decay
@@ -17,7 +19,7 @@ from driftcf.evaluation import (
 from driftcf.recommender import SPEC_CHUNK
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import evaluate, rating_log
-from oracles import hit_rate, pipeline_hits, random_dataset
+from oracles import hit_rate, pipeline_hits, random_dataset, random_train
 
 
 class TestHitRate:
@@ -250,6 +252,30 @@ class TestGridSweep:
         grid = ParamGrid({"constant": {}, "window": {"t_w": [1e9]}})
         result = grid_sweep(ds, grid, objective_n=1, n_list=[1])
         assert result.best_row["family"] == "constant"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        windows=st.lists(st.sampled_from([1e2, 1e4, 1e9]), min_size=1, max_size=4),
+        scales=st.lists(st.sampled_from([1e2, 1e4, 1e9]), min_size=1, max_size=4),
+        objective_n=st.sampled_from([1, 2, 5]),
+    )
+    # equal grid values tie within a family; constant and window:Tw=1e9 across
+    @example(seed=0, windows=[1e9, 1e4, 1e9], scales=[1e4, 1e4], objective_n=1)
+    def test_best_rows_are_first_maxima(self, seed, windows, scales, objective_n):
+        dataset, _train, _probes = random_train(random.Random(seed))
+        grid = ParamGrid({"constant": {}, "window": {"t_w": windows}, "exp": {"t_e": scales}})
+        result = grid_sweep(dataset, grid, objective_n=objective_n, n_list=[objective_n])
+        objective = [row["hit_rate"][objective_n] for row in result.rows]
+
+        def first_max(indices):
+            return result.rows[min(indices, key=lambda k: (-objective[k], k))]
+
+        families = [row["family"] for row in result.rows]
+        assert list(result.best_per_family) == list(dict.fromkeys(families))
+        for family, best in result.best_per_family.items():
+            assert best is first_max([k for k, f in enumerate(families) if f == family])
+        assert result.best_row is first_max(range(len(result.rows)))
 
     def test_planted_drift_prefers_time_aware_spec(self):
         wins = 0
