@@ -18,8 +18,6 @@ import sys
 import time
 from typing import Sequence
 
-import numpy as np
-
 from . import __version__
 from .atomic import atomic_open
 from .dataset import Dataset, parse_events, preprocess, split_leave_latest, write_events
@@ -35,14 +33,8 @@ from .recommender import score_items, top_n
 from .similarity import CacheFormatError, build_similarity, load_cache, save_cache
 from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
-    DEFAULT_AGE_MIN,
-    DEFAULT_BIN_RATIO,
-    DEFAULT_GRID_POINTS,
-    DEFAULT_TL_GRID_RANGE,
-    DEFAULT_TS_GRID_RANGE,
     BinnedCurve,
     CurveBin,
-    check_binning,
     collect_ssnr_ages,
     fit_piecewise_trend,
     log_bin_average,
@@ -102,21 +94,10 @@ def _parse_n_list(text: str) -> list[int]:
         raise ValueError(f"invalid depth list {text!r}; expected comma-separated integers")
     if not ns or any(n < 1 for n in ns):
         raise ValueError(f"depths must be positive integers, got {text!r}")
+    for k, n in enumerate(ns):
+        if n in ns[:k]:
+            raise ValueError(f"depth {n} is listed twice in {text!r}")
     return ns
-
-
-def _parse_range(text: str) -> tuple[float, float]:
-    """A breakpoint range flag's value; argparse names the flag in its error."""
-    lo, sep, hi = text.partition(":")
-    if not sep:
-        raise argparse.ArgumentTypeError(f"expected LO:HI, got {text!r}")
-    try:
-        pair = (float(lo), float(hi))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected numeric LO:HI, got {text!r}") from None
-    if not 0 < pair[0] <= pair[1] < np.inf:
-        raise argparse.ArgumentTypeError(f"expected finite 0 < LO <= HI, got {text!r}")
-    return pair
 
 
 def _curve_csv(curve: BinnedCurve) -> str:
@@ -181,7 +162,6 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_analyze_ssnr(args) -> int:
-    check_binning(args.bin_ratio, args.age_min)
     dataset = _load_dataset(args.input)
     train, probes = split_leave_latest(dataset)
     model = _model_for(train, args.sim_cache)
@@ -192,7 +172,7 @@ def _cmd_analyze_ssnr(args) -> int:
         f"{exclusions['isolated']} isolated excluded",
         file=sys.stderr,
     )
-    curve = log_bin_average(samples, args.bin_ratio, args.age_min)
+    curve = log_bin_average(samples)
     fit = fit_piecewise_trend(curve) if args.trend_out else None
     _emit(args.curve_out, _curve_csv(curve))
     if fit is not None:
@@ -201,14 +181,7 @@ def _cmd_analyze_ssnr(args) -> int:
 
 
 def _cmd_fit_trend(args) -> int:
-    if args.grid_points < 1:
-        raise ValueError(f"--grid-points must be at least 1, got {args.grid_points}")
-    curve = _read_curve_csv(args.curve)
-    # geomspace's steps may overflow near the largest float; it sets both ends exactly
-    with np.errstate(over="ignore"):
-        ts_grid = np.geomspace(*args.ts_range, args.grid_points)
-        tl_grid = np.geomspace(*args.tl_range, args.grid_points)
-    fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
+    fit = fit_piecewise_trend(_read_curve_csv(args.curve))
     _emit(args.out, _json_text(dataclasses.asdict(fit)))
     return 0
 
@@ -222,6 +195,14 @@ def _cmd_recommend(args) -> int:
     model = build_similarity(dataset)
     scores = score_items(dataset, model, user, args.at, spec)
     ranked = top_n(scores, args.n)
+    if not ranked:
+        profile = dataset.ratings[dataset.indptr[user]:dataset.indptr[user + 1]]
+        weighted = int((spec.weight((args.at - profile[:, 1]).astype(float)) != 0).sum())
+        print(
+            f"note: no item scores above zero for user {args.user} at --at {args.at}; "
+            f"{weighted} of {len(profile)} profile ratings have a nonzero decay weight",
+            file=sys.stderr,
+        )
     payload = [
         {"item": dataset.item_ids[item], "score": score} for item, score in ranked
     ]
@@ -312,17 +293,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--curve-out", required=True, help="binned curve CSV path")
     p.add_argument("--trend-out", help="optional trend fit JSON path")
-    p.add_argument("--bin-ratio", type=float, default=DEFAULT_BIN_RATIO)
-    p.add_argument("--age-min", type=float, default=DEFAULT_AGE_MIN)
     p.add_argument("--sim-cache", help="binary similarity cache to reuse or create")
     p.set_defaults(func=_cmd_analyze_ssnr)
 
     p = sub.add_parser("fit-trend", help="fit the piecewise trend to a curve CSV")
     p.add_argument("--curve", required=True)
     p.add_argument("--out", default="-")
-    p.add_argument("--ts-range", type=_parse_range, default=DEFAULT_TS_GRID_RANGE)
-    p.add_argument("--tl-range", type=_parse_range, default=DEFAULT_TL_GRID_RANGE)
-    p.add_argument("--grid-points", type=int, default=DEFAULT_GRID_POINTS)
     p.set_defaults(func=_cmd_fit_trend)
 
     p = sub.add_parser("recommend", help="top-N recommendations for one user")

@@ -29,8 +29,20 @@ from .dataset import Dataset, ProbeSet
 from .decay import Piecewise, sweep_ranges
 from .similarity import SimilarityModel
 
-DEFAULT_BIN_RATIO = 10 ** 0.1  # ten bins per decade
-DEFAULT_AGE_MIN = 1.0
+BIN_RATIO = 10 ** 0.1  # ten bins per decade, from 1 s
+
+
+def _bin_edges() -> np.ndarray:
+    """Bin k's smallest integer age, ceil(BIN_RATIO**k), as uint64, for k up
+    to the first edge at 2**63: no int64 age reaches it, so it stands for
+    every edge above."""
+    edges = [1]
+    while edges[-1] < 2**63:
+        edges.append(min(math.ceil(BIN_RATIO ** len(edges)), 2**63))
+    return np.array(edges, dtype=np.uint64)
+
+
+_BIN_EDGES = _bin_edges()
 
 # The trend breakpoints are searched over the piecewise decay's sweep
 # ranges, geometrically gridded.
@@ -161,76 +173,22 @@ def collect_ssnr_ages(
     return samples, exclusions
 
 
-# No int64 age reaches 2**63, so it stands for any bin edge at or above it.
-_AGE_CAP = 2**63
+def log_bin_average(samples: SsnrSamples) -> BinnedCurve:
+    """Average ssnr over geometric age bins [BIN_RATIO^k, BIN_RATIO^(k+1)).
 
-
-def _first_age_at(edge: float) -> int:
-    """Smallest integer age at or above ``edge``, capped at 2**63."""
-    return math.ceil(edge) if edge < _AGE_CAP else _AGE_CAP
-
-
-def _bin_index(ages: np.ndarray, ratio: float, age_min: float) -> np.ndarray:
-    """Bin k of each age: age_min * ratio^k <= age < age_min * ratio^(k+1),
-    or 0 below ``age_min``.
-
-    A log estimate of k is corrected against the edges, first down while
-    the age is below bin k's lower edge, then up while it reaches the upper
-    one.  Ages are compared with each edge as integers, so the comparison
-    is exact over the whole int64 range.
+    Ages below 1 s (including zero) are clamped into bin 0.  Ages are
+    compared with the bin edges as integers, so binning is exact over the
+    whole int64 range.  Returns empty-bin-free bins in age order; no
+    samples yield an empty curve.  Each bin's sum adds its samples in input
+    order.
     """
-    ages = np.maximum(ages, 0).astype(np.uint64)
-
-    def lower_edges(ks: np.ndarray) -> np.ndarray:
-        distinct, slot = np.unique(ks, return_inverse=True)
-        firsts = [_first_age_at(age_min * ratio**k) for k in distinct.tolist()]
-        return np.array(firsts, dtype=np.uint64)[slot]
-
-    k = np.zeros(len(ages), dtype=np.int64)
-    (inside,) = np.nonzero(ages >= _first_age_at(age_min))
-    k[inside] = np.floor(np.log(ages[inside] / age_min) / math.log(ratio))
-    moving = inside
-    while moving.size:
-        moving = moving[ages[moving] < lower_edges(k[moving])]
-        k[moving] -= 1
-    moving = inside
-    while moving.size:
-        moving = moving[ages[moving] >= lower_edges(k[moving] + 1)]
-        k[moving] += 1
-    return k
-
-
-def check_binning(ratio: float, age_min: float) -> None:
-    """Raise ValueError unless ``ratio`` and ``age_min`` give valid bins.
-
-    Bin 0's edges go through the per-bin rule of ``CurveBin``.  No later
-    bin's edges can overflow: a later bin starts at an int64 age, below
-    2**63, which bounds ``ratio`` too.
-    """
-    if not 1 < ratio < math.inf:
-        raise ValueError(f"bin ratio must be finite and exceed 1, got {ratio!r}")
-    if not 1 <= age_min < math.inf:
-        raise ValueError(f"age_min must be finite and at least 1, got {age_min!r}")
-    CurveBin(age_min, age_min * ratio, 0.0, 1)
-
-
-def log_bin_average(
-    samples: SsnrSamples,
-    ratio: float = DEFAULT_BIN_RATIO,
-    age_min: float = DEFAULT_AGE_MIN,
-) -> BinnedCurve:
-    """Average ssnr over geometric age bins [age_min * ratio^k, ...).
-
-    Ages below ``age_min`` (including zero) are clamped into bin 0.
-    Returns empty-bin-free bins in age order; no samples yield an empty
-    curve.  Each bin's sum adds its samples in input order.
-    """
-    check_binning(ratio, age_min)
-    ks, slot = np.unique(_bin_index(samples.ages, ratio, age_min), return_inverse=True)
+    ages = np.maximum(samples.ages, 0).astype(np.uint64)
+    index = np.maximum(np.searchsorted(_BIN_EDGES, ages, side="right") - 1, 0)
+    ks, slot = np.unique(index, return_inverse=True)
     sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))
     counts = np.bincount(slot, minlength=len(ks))
     bins = tuple(
-        CurveBin(age_min * ratio**k, age_min * ratio ** (k + 1), total / count, count)
+        CurveBin(BIN_RATIO**k, BIN_RATIO ** (k + 1), total / count, count)
         for k, total, count in zip(ks.tolist(), sums.tolist(), counts.tolist())
     )
     return BinnedCurve(bins)
