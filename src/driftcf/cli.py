@@ -1,10 +1,10 @@
 """Command-line entry point.
 
-Subcommands: synth, ingest, analyze-ssnr, fit-trend, recommend, evaluate,
-sweep.  All file outputs are written atomically (temp file + rename) and
-all floating-point values are serialized with 12 significant digits, so a
-fixed seed reproduces outputs byte for byte.  Timings go to stderr, never
-into artifacts.
+Subcommands: synth, ingest, analyze-ssnr, recommend, evaluate, sweep.  All
+file outputs are written atomically (temp file + rename) and all
+floating-point values are serialized with 12 significant digits, so a
+fixed seed reproduces outputs byte for byte.  Timings and notes go to
+stderr, never into artifacts.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 from . import __version__
 from .atomic import atomic_open
 from .dataset import Dataset, parse_events, preprocess, split_leave_latest, write_events
-from .decay import FAMILIES, parse_decay
+from .decay import FAMILIES, Piecewise, format_decay, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
     DEFAULT_POINTS_PER_PARAM,
@@ -33,8 +33,10 @@ from .recommender import score_items, top_n
 from .similarity import CacheFormatError, build_similarity, load_cache, save_cache
 from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
+    TL_GRID,
+    TS_GRID,
     BinnedCurve,
-    CurveBin,
+    TrendFit,
     collect_ssnr_ages,
     fit_piecewise_trend,
     log_bin_average,
@@ -107,24 +109,18 @@ def _curve_csv(curve: BinnedCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _read_curve_csv(path: str) -> BinnedCurve:
-    """The bins of a curve CSV; a ValueError names the first bad line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [(n, line.strip()) for n, line in enumerate(fh, 1) if line.strip()]
-    if not lines or lines[0][1] != "age_lo,age_hi,mean_ssnr,count":
-        raise ValueError(f"{path}: expected header 'age_lo,age_hi,mean_ssnr,count'")
-    bins = []
-    for n, line in lines[1:]:
-        try:
-            lo, hi, mean, count = line.split(",")
-            bins.append(CurveBin(float(lo), float(hi), float(mean), int(count)))
-            if len(bins) > 1 and bins[-1].age_lo < bins[-2].age_hi:
-                raise ValueError(f"age_lo must be >= the previous bin's age_hi {bins[-2].age_hi!r}")
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {n}: {exc}") from None
-    if not bins:
-        raise ValueError(f"{path}: curve has no bins")
-    return BinnedCurve(tuple(bins))
+def _decay_note(fit: TrendFit) -> str:
+    """The trend fit as a piecewise ``--decay`` spec, naming each breakpoint
+    on the edge of its search grid and each slope clamped to 0."""
+    try:
+        spec = format_decay(Piecewise(fit.t_s, fit.t_l, fit.k_s, fit.k_l))
+    except ValueError as exc:
+        return f"note: the trend fit is no decay spec: {exc}"
+    grids = (("Ts", fit.t_s, TS_GRID), ("Tl", fit.t_l, TL_GRID))
+    caveats = [f"{key} is on the edge of its grid {_fmt(grid[0])}-{_fmt(grid[-1])}"
+               for key, t, grid in grids if t in (grid[0], grid[-1])]
+    caveats += [f"{key} is clamped to 0" for key, k in (("Ks", fit.k_s), ("Kl", fit.k_l)) if k == 0]
+    return "; ".join([f"note: trend fit as a decay: {spec}", *caveats])
 
 
 def _model_for(train, cache_path: str | None):
@@ -177,12 +173,7 @@ def _cmd_analyze_ssnr(args) -> int:
     _emit(args.curve_out, _curve_csv(curve))
     if fit is not None:
         _emit(args.trend_out, _json_text(dataclasses.asdict(fit)))
-    return 0
-
-
-def _cmd_fit_trend(args) -> int:
-    fit = fit_piecewise_trend(_read_curve_csv(args.curve))
-    _emit(args.out, _json_text(dataclasses.asdict(fit)))
+        print(_decay_note(fit), file=sys.stderr)
     return 0
 
 
@@ -295,11 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trend-out", help="optional trend fit JSON path")
     p.add_argument("--sim-cache", help="binary similarity cache to reuse or create")
     p.set_defaults(func=_cmd_analyze_ssnr)
-
-    p = sub.add_parser("fit-trend", help="fit the piecewise trend to a curve CSV")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--out", default="-")
-    p.set_defaults(func=_cmd_fit_trend)
 
     p = sub.add_parser("recommend", help="top-N recommendations for one user")
     p.add_argument("--in", dest="input", required=True)

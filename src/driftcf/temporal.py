@@ -44,11 +44,10 @@ def _bin_edges() -> np.ndarray:
 
 _BIN_EDGES = _bin_edges()
 
-# The trend breakpoints are searched over the piecewise decay's sweep
-# ranges, geometrically gridded.
-DEFAULT_TS_GRID_RANGE = sweep_ranges(Piecewise)["t_s"]
-DEFAULT_TL_GRID_RANGE = sweep_ranges(Piecewise)["t_l"]
-DEFAULT_GRID_POINTS = 20
+# The trend breakpoints are searched on 20-point geometric grids over the
+# piecewise decay's sweep ranges.
+TS_GRID = np.geomspace(*sweep_ranges(Piecewise)["t_s"], 20)
+TL_GRID = np.geomspace(*sweep_ranges(Piecewise)["t_l"], 20)
 
 
 class TrendFitError(ValueError):
@@ -75,25 +74,12 @@ class SsnrSamples:
 
 @dataclass(frozen=True)
 class CurveBin:
-    """One bin of a binned curve; a ValueError names its first bad field."""
+    """One bin of a binned curve: ``count`` samples averaging ``mean_ssnr``."""
 
     age_lo: float
     age_hi: float
     mean_ssnr: float
     count: int
-
-    def __post_init__(self) -> None:
-        lo, hi = self.age_lo, self.age_hi
-        if not 0 < lo < math.inf:
-            raise ValueError(f"age_lo must be finite and > 0, got {lo!r}")
-        if not lo < hi < math.inf:
-            raise ValueError(f"age_hi must be finite and > age_lo, got {hi!r}")
-        if not 0 < lo * hi < math.inf:  # the trend fit reads a bin at sqrt(age_lo * age_hi)
-            raise ValueError(f"age_lo * age_hi must be finite and > 0, got {lo * hi!r}")
-        if not 0 <= self.mean_ssnr < math.inf:
-            raise ValueError(f"mean_ssnr must be finite and >= 0, got {self.mean_ssnr!r}")
-        if self.count < 1:
-            raise ValueError(f"count must be at least 1, got {self.count}")
 
 
 @dataclass(frozen=True)
@@ -180,12 +166,14 @@ def log_bin_average(samples: SsnrSamples) -> BinnedCurve:
     compared with the bin edges as integers, so binning is exact over the
     whole int64 range.  Returns empty-bin-free bins in age order; no
     samples yield an empty curve.  Each bin's sum adds its samples in input
-    order.
+    order; a ValueError is raised when a sum is not finite.
     """
     ages = np.maximum(samples.ages, 0).astype(np.uint64)
     index = np.maximum(np.searchsorted(_BIN_EDGES, ages, side="right") - 1, 0)
     ks, slot = np.unique(index, return_inverse=True)
     sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))
+    if not np.isfinite(sums).all():
+        raise ValueError("an age bin's ssnr sum is not finite")
     counts = np.bincount(slot, minlength=len(ks))
     bins = tuple(
         CurveBin(BIN_RATIO**k, BIN_RATIO ** (k + 1), total / count, count)
@@ -209,8 +197,8 @@ def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float] | 
 
 def fit_piecewise_trend(
     curve: BinnedCurve,
-    ts_grid: np.ndarray | None = None,
-    tl_grid: np.ndarray | None = None,
+    ts_grid: np.ndarray = TS_GRID,
+    tl_grid: np.ndarray = TL_GRID,
 ) -> TrendFit:
     """Fit the three-phase power-law trend by exhaustive breakpoint search.
 
@@ -224,11 +212,6 @@ def fit_piecewise_trend(
     a candidate whose outer segment cannot fix a line (its bins all share
     one midpoint) is skipped.
     """
-    if ts_grid is None:
-        ts_grid = np.geomspace(*DEFAULT_TS_GRID_RANGE, DEFAULT_GRID_POINTS)
-    if tl_grid is None:
-        tl_grid = np.geomspace(*DEFAULT_TL_GRID_RANGE, DEFAULT_GRID_POINTS)
-
     usable = [b for b in curve.bins if b.mean_ssnr > 0]
     mids = np.array([math.sqrt(b.age_lo * b.age_hi) for b in usable])
     log_x = np.log(mids)

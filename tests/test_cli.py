@@ -1,7 +1,9 @@
 """Command-line surface: formats, exit codes, reproducibility."""
 
+import argparse
 import dataclasses
 import json
+import re
 import shlex
 import warnings
 from pathlib import Path
@@ -10,8 +12,10 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from driftcf import cli
 from driftcf.cli import build_parser, main
-from driftcf.decay import FAMILIES
+from driftcf.decay import FAMILIES, parse_decay
+from driftcf.temporal import TrendFit
 
 
 def run(capsys, *argv):
@@ -109,7 +113,7 @@ class TestAnalyzeSsnr:
         ]) == 0
         curve = tmp_path / "curve.csv"
         trend = tmp_path / "trend.json"
-        code, _out, _err = run(
+        code, _out, err = run(
             capsys, "analyze-ssnr", "--in", str(log),
             "--curve-out", str(curve), "--trend-out", str(trend),
         )
@@ -120,6 +124,50 @@ class TestAnalyzeSsnr:
         fit = json.loads(trend.read_text())
         assert set(fit) == {"t_s", "t_l", "k_s", "k_l", "plateau", "residual"}
         assert fit["t_s"] <= fit["t_l"]
+        # stderr gives the fit as a decay spec that evaluate takes as it is
+        spec = re.search(r"note: trend fit as a decay: ([^;\s]+)", err).group(1)
+        decay = dataclasses.asdict(parse_decay(spec))
+        assert decay == {k: fit[k] for k in ("t_s", "t_l", "k_s", "k_l")}
+        report = tmp_path / "report.json"
+        assert main(["evaluate", "--in", str(log), "--decay", spec, "--out", str(report)]) == 0
+
+    @pytest.mark.parametrize("fit, note", [
+        (
+            TrendFit(100.0, 5e7, 0.0, 0.3, 1.0, 0.0),
+            "note: trend fit as a decay: piecewise:Ts=100,Tl=50000000,Ks=0,Kl=0.3; "
+            "Ts is on the edge of its grid 100-100000; Tl is on the edge of its grid "
+            "500000-50000000; Ks is clamped to 0\n",
+        ),
+        (
+            TrendFit(1e5, 1e6, 100.0, 0.5, 1.0, 0.0),
+            "note: the trend fit is no decay spec: the weight at the 1 s age floor overflows: "
+            "Ts=100000.0 Ks=100.0\n",
+        ),
+    ])
+    def test_decay_note_names_edges_clamps_and_overflow(
+        self, small_log, tmp_path, capsys, monkeypatch, fit, note
+    ):
+        monkeypatch.setattr(cli, "fit_piecewise_trend", lambda curve: fit)
+        trend = tmp_path / "trend.json"
+        code, _out, err = run(
+            capsys, "analyze-ssnr", "--in", str(small_log), "--curve-out", str(tmp_path / "c.csv"),
+            "--trend-out", str(trend),
+        )
+        assert code == 0
+        assert err.endswith(note)
+        assert json.loads(trend.read_text()) == dataclasses.asdict(fit)
+
+    def test_fit_trend_is_usage_error(self, tmp_path, capsys):
+        # the trend is fitted by analyze-ssnr --trend-out; the curve CSV is an output only
+        curve = tmp_path / "curve.csv"
+        curve.write_text("age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n")
+        code, err, _runtime = run_any_exit(
+            capsys, "fit-trend", "--curve", str(curve), "--out", str(tmp_path / "trend.json")
+        )
+        assert code == 2
+        assert "invalid choice: 'fit-trend'" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [curve]
 
     def test_curve_reproducible(self, small_log, tmp_path, capsys):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -167,96 +215,6 @@ class TestAnalyzeSsnr:
             curves.append(curve.read_bytes())
         assert "skipped 1 malformed line" in err
         assert curves[0] == curves[1]
-
-
-class TestFitTrend:
-    def test_refit_from_curve_file(self, tmp_path, capsys):
-        log = tmp_path / "log.tsv"
-        assert main([
-            "synth", "--seed", "3", "--out", str(log),
-            "--users", "120", "--items", "300", "--events", "9000", "--topics", "8",
-        ]) == 0
-        curve = tmp_path / "curve.csv"
-        trend = tmp_path / "trend.json"
-        assert main([
-            "analyze-ssnr", "--in", str(log),
-            "--curve-out", str(curve), "--trend-out", str(trend),
-        ]) == 0
-        code, out, _err = run(capsys, "fit-trend", "--curve", str(curve))
-        assert code == 0
-        refit = json.loads(out)
-        original = json.loads(trend.read_text())
-        # refit consumes 12-significant-digit CSV values, so the residual
-        # may wobble at that precision; the parameters must not
-        assert refit["t_s"] == original["t_s"]
-        assert refit["t_l"] == original["t_l"]
-        for key in ("k_s", "k_l", "plateau"):
-            assert refit[key] == pytest.approx(original[key], rel=1e-9, abs=1e-12)
-        assert refit["residual"] == pytest.approx(original["residual"], rel=1e-9, abs=1e-12)
-
-    @pytest.mark.parametrize("row, defect", [
-        ("0,1.25,0.5,3", "age_lo must be finite and > 0"),
-        ("-1,1.25,0.5,3", "age_lo must be finite and > 0"),
-        ("nan,1.25,0.5,3", "age_lo must be finite and > 0"),
-        ("inf,inf,0.5,3", "age_lo must be finite and > 0"),
-        ("2,2,0.5,3", "age_hi must be finite and > age_lo"),
-        ("2,inf,0.5,3", "age_hi must be finite and > age_lo"),
-        ("2,nan,0.5,3", "age_hi must be finite and > age_lo"),
-        ("1e-200,1e-150,0.5,3", "age_lo * age_hi must be finite and > 0"),
-        ("1e200,1e300,0.5,3", "age_lo * age_hi must be finite and > 0"),
-        ("2,3,nan,3", "mean_ssnr must be finite and >= 0"),
-        ("2,3,inf,3", "mean_ssnr must be finite and >= 0"),
-        ("2,3,-0.5,3", "mean_ssnr must be finite and >= 0"),
-        ("2,3,0.5,0", "count must be at least 1"),
-        ("2,3,0.5,-4", "count must be at least 1"),
-        ("2,3,0.5", "not enough values to unpack"),
-        ("2,3,0.5,3,1", "too many values to unpack"),
-        ("2,3,half,3", "could not convert"),
-        ("2,3,0.5,1.5", "invalid literal"),
-    ])
-    def test_bad_row_names_its_line(self, tmp_path, capsys, row, defect):
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n\n{row}\n")
-        code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
-        assert code == 1
-        assert f"line 4: {defect}" in err
-        assert "Traceback" not in err
-
-    @pytest.mark.parametrize("row", ["1,1.25,0.4,3", "1.2,2,0.4,3", "0.5,0.8,0.4,3"])
-    def test_row_overlapping_or_preceding_the_previous_bin_names_its_line(
-        self, tmp_path, capsys, row
-    ):
-        # each row must start at or after the previous bin's end
-        doubling = "".join(f"{1e5 * 2**k:g},{2e5 * 2**k:g},0.3,3\n" for k in range(14))
-        bad = tmp_path / "bad.csv"
-        bad.write_text(f"age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n{row}\n{doubling}")
-        code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
-        assert code == 1
-        assert "line 3: age_lo must be >= the previous bin's age_hi 1.25" in err
-        assert "Traceback" not in err
-
-    def test_bad_header_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "bad.csv"
-        bad.write_text("nope\n1,2,3,4\n")
-        code, _out, err = run(capsys, "fit-trend", "--curve", str(bad))
-        assert code == 1
-        assert "header" in err
-
-    @pytest.mark.parametrize("flag, value", [
-        ("--ts-range", "100:1e5"), ("--tl-range", "5e5:5e7"), ("--grid-points", "20"),
-    ])
-    def test_grid_flags_are_usage_errors(self, tmp_path, capsys, flag, value):
-        # the breakpoints are searched on one 20 x 20 grid
-        curve = tmp_path / "curve.csv"
-        curve.write_text("age_lo,age_hi,mean_ssnr,count\n1,1.25,0.5,3\n")
-        out = tmp_path / "trend.json"
-        code, err, _runtime = run_any_exit(
-            capsys, "fit-trend", "--curve", str(curve), "--out", str(out), flag, value
-        )
-        assert code == 2
-        assert f"unrecognized arguments: {flag} {value}" in err
-        assert "Traceback" not in err
-        assert not out.exists()
 
 
 class TestRecommend:
@@ -501,7 +459,10 @@ def readme_commands() -> list[str]:
 class TestReadme:
     def test_command_block_lists_every_subcommand(self):
         names = {shlex.split(line, comments=True)[1] for line in readme_commands()}
-        assert names == {"synth", "ingest", "analyze-ssnr", "fit-trend", "recommend", "evaluate", "sweep"}
+        [subparsers] = [
+            a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert names == set(subparsers.choices)
 
     @pytest.mark.parametrize("line", readme_commands(), ids=lambda line: line.split()[1])
     def test_command_parses(self, line):
@@ -510,15 +471,13 @@ class TestReadme:
 
 @pytest.fixture(scope="module")
 def fuzz_inputs(tmp_path_factory):
-    """A small synthetic log and the curve CSV analyze-ssnr writes for it."""
-    work = tmp_path_factory.mktemp("fuzz")
-    log, curve = work / "log.tsv", work / "curve.csv"
+    """The bytes of a small synthetic log."""
+    log = tmp_path_factory.mktemp("fuzz") / "log.tsv"
     assert main([
         "synth", "--seed", "11", "--out", str(log),
         "--users", "20", "--items", "60", "--events", "500", "--topics", "4",
     ]) == 0
-    assert main(["analyze-ssnr", "--in", str(log), "--curve-out", str(curve)]) == 0
-    return log.read_bytes(), curve.read_bytes()
+    return log.read_bytes()
 
 
 @st.composite
@@ -563,13 +522,11 @@ class TestMutatedInputs:
         ]
 
     def test_unmutated_inputs_succeed(self, fuzz_inputs, tmp_path, capsys):
-        log, curve = tmp_path / "log.tsv", tmp_path / "curve.csv"
-        log.write_bytes(fuzz_inputs[0])
-        curve.write_bytes(fuzz_inputs[1])
+        log = tmp_path / "log.tsv"
+        log.write_bytes(fuzz_inputs)
         out = str(tmp_path / "out")
         assert self.exits_cleanly(capsys, "ingest", "--in", str(log), "--out", out) == 0
         assert self.exits_cleanly(capsys, "evaluate", "--in", str(log), "--out", out) == 0
-        assert self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", out) == 0
         for argv in self.log_commands(log, out):
             assert self.exits_cleanly(capsys, *argv) == 0
 
@@ -577,28 +534,21 @@ class TestMutatedInputs:
     @given(data=st.data())
     def test_ingest(self, fuzz_inputs, tmp_path, capsys, data):
         log = tmp_path / "log.tsv"
-        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        log.write_bytes(data.draw(mutated(fuzz_inputs)))
         self.exits_cleanly(capsys, "ingest", "--in", str(log), "--out", str(tmp_path / "out"))
 
     @fuzz
     @given(data=st.data())
     def test_evaluate(self, fuzz_inputs, tmp_path, capsys, data):
         log = tmp_path / "log.tsv"
-        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        log.write_bytes(data.draw(mutated(fuzz_inputs)))
         self.exits_cleanly(capsys, "evaluate", "--in", str(log), "--out", str(tmp_path / "out"))
-
-    @fuzz
-    @given(data=st.data())
-    def test_fit_trend(self, fuzz_inputs, tmp_path, capsys, data):
-        curve = tmp_path / "curve.csv"
-        curve.write_bytes(data.draw(mutated(fuzz_inputs[1])))
-        self.exits_cleanly(capsys, "fit-trend", "--curve", str(curve), "--out", str(tmp_path / "out"))
 
     @fuzz
     @given(data=st.data())
     def test_other_log_commands(self, fuzz_inputs, tmp_path, capsys, data):
         log = tmp_path / "log.tsv"
-        log.write_bytes(data.draw(mutated(fuzz_inputs[0])))
+        log.write_bytes(data.draw(mutated(fuzz_inputs)))
         for argv in self.log_commands(log, str(tmp_path / "out")):
             self.exits_cleanly(capsys, *argv)
 
@@ -674,7 +624,7 @@ class TestFuzzedFlags:
     @example(decay="logistic:Tg=1e-300,b=5.0", n="10")
     def test_recommend(self, fuzz_inputs, tmp_path, capsys, decay, n):
         log = tmp_path / "log.tsv"
-        log.write_bytes(fuzz_inputs[0])
+        log.write_bytes(fuzz_inputs)
         self.exits_cleanly(
             capsys, "recommend", "--in", str(log), "--user", "u0014", "--at", "9000000000",
             "--out", str(tmp_path / "out"), f"--decay={decay}", f"--n={n}",
@@ -685,7 +635,7 @@ class TestFuzzedFlags:
     @example(decay="exp:Te=1e-320", n="10,20,50")
     def test_evaluate(self, fuzz_inputs, tmp_path, capsys, decay, n):
         log = tmp_path / "log.tsv"
-        log.write_bytes(fuzz_inputs[0])
+        log.write_bytes(fuzz_inputs)
         self.exits_cleanly(
             capsys, "evaluate", "--in", str(log), "--out", str(tmp_path / "out"),
             f"--decay={decay}", f"--n={n}",
@@ -695,7 +645,7 @@ class TestFuzzedFlags:
     @given(points=grid_points(2), n=depth_lists, objective=ints)
     def test_sweep(self, fuzz_inputs, tmp_path, capsys, points, n, objective):
         log = tmp_path / "log.tsv"
-        log.write_bytes(fuzz_inputs[0])
+        log.write_bytes(fuzz_inputs)
         self.exits_cleanly(
             capsys, "sweep", "--in", str(log), "--table-out", str(tmp_path / "out"),
             f"--grid-points={points}", f"--n={n}", f"--objective-n={objective}",

@@ -305,6 +305,27 @@ class TestLogBinAverage:
         samples = [SampleRow(0, k, 10 * k + 1, 1.0) for k in range(50)]
         assert log_bin_average(ssnr_samples(samples)).total_count == 50
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(0, allow_infinity=False))))
+    @example([(0, 0.0), (2**63 - 1, 0.0)])
+    @example([(5, 1.7e308), (5, 1.7e308), (500, 1.0)])
+    def test_every_bin_is_well_formed(self, pairs):
+        # the trend fit reads each bin at sqrt(age_lo * age_hi) and log(mean_ssnr)
+        samples = ssnr_samples(SampleRow(0, n, age, ssnr) for n, (age, ssnr) in enumerate(pairs))
+        try:
+            curve = log_bin_average(samples)
+        except ValueError as exc:
+            # only when a bin's sum overflows, which the sum of all samples then does
+            assert "ssnr sum is not finite" in str(exc)
+            assert math.isinf(sum(ssnr for _age, ssnr in pairs))
+            return
+        assert curve.total_count == len(pairs)
+        for b in curve.bins:
+            assert 0 < b.age_lo < b.age_hi < math.inf
+            assert 0 < b.age_lo * b.age_hi < math.inf
+            assert 0 <= b.mean_ssnr < math.inf
+            assert b.count >= 1
+
 
 def synthetic_curve(t_s, t_l, k_s, k_l, level, age_lo=10.0, age_hi=1e9, per_decade=10):
     """Bins whose means sit exactly on a piecewise power law.
