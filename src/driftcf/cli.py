@@ -26,6 +26,7 @@ from .evaluation import (
     ALL_FAMILIES,
     DEFAULT_POINTS_PER_PARAM,
     ParamGrid,
+    check_depths,
     evaluate_split,
     grid_sweep,
 )
@@ -91,15 +92,9 @@ def _load_dataset(path: str) -> Dataset:
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        ns = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValueError(f"invalid depth list {text!r}; expected comma-separated integers")
-    if not ns or any(n < 1 for n in ns):
-        raise ValueError(f"depths must be positive integers, got {text!r}")
-    for k, n in enumerate(ns):
-        if n in ns[:k]:
-            raise ValueError(f"depth {n} is listed twice in {text!r}")
-    return ns
+        return check_depths([int(part) for part in text.split(",") if part.strip()])
+    except ValueError as exc:
+        raise ValueError(f"invalid depth list {text!r}: {exc}") from None
 
 
 def _curve_csv(curve: BinnedCurve) -> str:
@@ -178,11 +173,12 @@ def _cmd_analyze_ssnr(args) -> int:
 
 
 def _cmd_recommend(args) -> int:
-    dataset = _load_dataset(args.input)
-    if args.user not in dataset.user_index:
-        raise ValueError(f"unknown user {args.user!r}")
-    user = dataset.user_index[args.user]
     spec = parse_decay(args.decay)
+    check_depths([args.n])
+    dataset = _load_dataset(args.input)
+    if args.user not in dataset.user_ids:
+        raise ValueError(f"unknown user {args.user!r}")
+    user = dataset.user_ids.index(args.user)
     model = build_similarity(dataset)
     scores = score_items(dataset, model, user, args.at, spec)
     ranked = top_n(scores, args.n)
@@ -202,9 +198,9 @@ def _cmd_recommend(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    dataset = _load_dataset(args.input)
     spec = parse_decay(args.decay)
     n_list = _parse_n_list(args.n)
+    dataset = _load_dataset(args.input)
     train, probes = split_leave_latest(dataset)
     model = _model_for(train, args.sim_cache)
     started = time.perf_counter()
@@ -233,15 +229,16 @@ def _best_json(row: dict) -> dict:
 
 
 def _cmd_sweep(args) -> int:
-    dataset = _load_dataset(args.input)
     families = [f.strip() for f in args.family.split(",") if f.strip()]
     n_list = _parse_n_list(args.n)
     grid = ParamGrid.default(families, args.grid_points)
-    result = grid_sweep(dataset, grid, args.objective_n, n_list)
-    _emit(args.table_out, _sweep_csv(result.rows, result.depths))
+    dataset = _load_dataset(args.input)
+    objective_n = n_list[0]
+    result = grid_sweep(dataset, grid, objective_n, n_list)
+    _emit(args.table_out, _sweep_csv(result.rows, n_list))
     if args.best_out:
         best = {
-            "objective_n": result.objective_n,
+            "objective_n": objective_n,
             "best": {"family": result.best_row["family"], **_best_json(result.best_row)},
             "per_family": {
                 family: _best_json(row) for family, row in sorted(result.best_per_family.items())
@@ -257,11 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
         description="Time-aware item-based collaborative filtering toolkit",
     )
     parser.add_argument("--version", action="version", version=f"driftcf {__version__}")
-    parser.add_argument(
-        "--json-errors",
-        action="store_true",
-        help="emit pipeline errors as JSON on stderr",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic event log")
@@ -308,8 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--family", default=",".join(ALL_FAMILIES))
     p.add_argument("--grid-points", type=int, default=DEFAULT_POINTS_PER_PARAM)
-    p.add_argument("--objective-n", type=int, default=10)
-    p.add_argument("--n", default="10,20,50")
+    p.add_argument("--n", default="10,20,50", help="search depths; the first is the objective")
     p.add_argument("--table-out", required=True, help="full results CSV path")
     p.add_argument("--best-out", help="optional best-parameters JSON path")
     # deprecated and ignored: sweeps run in one thread
@@ -325,10 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
-        if args.json_errors:
-            print(json.dumps({"error": str(exc), "type": type(exc).__name__}), file=sys.stderr)
-        else:
-            print(f"driftcf: error: {exc}", file=sys.stderr)
+        print(f"driftcf: error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import IO, Iterable
 
@@ -34,7 +34,8 @@ def _breaks_a_line(text: str) -> bool:
 
 
 def _read_only(values, shape_tail: tuple[int, ...] = ()) -> np.ndarray:
-    array = np.ascontiguousarray(values, dtype=np.int64)
+    """A read-only int64 view of ``values``; an array passed in stays writeable."""
+    array = np.ascontiguousarray(values, dtype=np.int64).view()
     if array.shape[1:] != shape_tail:
         raise ValueError(f"expected {1 + len(shape_tail)}-d int64 rows, got shape {array.shape}")
     array.flags.writeable = False
@@ -137,14 +138,10 @@ class Dataset:
     item_ids: list[str]
     indptr: np.ndarray
     ratings: np.ndarray
-    user_index: dict[str, int] = field(init=False, repr=False)
-    item_index: dict[str, int] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.indptr = _read_only(self.indptr)
         self.ratings = _read_only(self.ratings, (2,))
-        self.user_index = {u: k for k, u in enumerate(self.user_ids)}
-        self.item_index = {i: k for k, i in enumerate(self.item_ids)}
 
     @property
     def n_users(self) -> int:
@@ -165,18 +162,14 @@ class Dataset:
         bounds = self.indptr.tolist()
         return tuple(self.ratings[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
 
-    @property
-    def sparsity(self) -> float:
-        cells = self.n_users * self.n_items
-        return 1.0 - self.n_ratings / cells if cells else 0.0
-
     def summary(self) -> dict:
         """JSON-ready statistics of the dataset."""
+        cells = self.n_users * self.n_items
         return {
             "users": self.n_users,
             "items": self.n_items,
             "ratings": self.n_ratings,
-            "sparsity": self.sparsity,
+            "sparsity": 1.0 - self.n_ratings / cells if cells else 0.0,
             "excluded_users": int(np.count_nonzero(np.diff(self.indptr) == 1)),
         }
 
@@ -194,13 +187,9 @@ class Dataset:
 @dataclass
 class ProbeSet:
     """Held-out latest ratings: user index -> (probe item, probe time).
-
-    ``excluded_users`` lists users with a single rating; they contribute
-    nothing to either side of the split.
-    """
+    Users with a single rating have no probe."""
 
     probes: dict[int, tuple[int, int]]
-    excluded_users: list[int]
 
     @property
     def evaluated_users(self) -> list[int]:
@@ -263,4 +252,4 @@ def split_leave_latest(dataset: Dataset) -> tuple[Dataset, ProbeSet]:
     keep[last[lengths > 0]] = False
     indptr = np.concatenate(([0], np.cumsum(np.maximum(lengths - 1, 0))))
     train = Dataset(dataset.user_ids, dataset.item_ids, indptr, dataset.ratings[keep])
-    return train, ProbeSet(probes, np.flatnonzero(lengths < 2).tolist())
+    return train, ProbeSet(probes)

@@ -55,6 +55,19 @@ def prepare_evaluation(dataset: Dataset) -> tuple[Dataset, ProbeSet, SimilarityM
     return train, probes, model
 
 
+def check_depths(n_list: Sequence[int]) -> list[int]:
+    """``n_list`` as a list; ValueError unless it holds depths >= 1, each once."""
+    depths = list(n_list)
+    if not depths:
+        raise ValueError("no search depth given")
+    for k, n in enumerate(depths):
+        if n < 1:
+            raise ValueError(f"search depth must be at least 1, got {n}")
+        if n in depths[:k]:
+            raise ValueError(f"depth {n} is listed twice")
+    return depths
+
+
 def _evaluate_specs(
     train: Dataset,
     probes: ProbeSet,
@@ -63,10 +76,7 @@ def _evaluate_specs(
     n_list: Sequence[int],
 ) -> list[EvalReport]:
     """One report per spec, from one pass over the users."""
-    depths = list(n_list)
-    for n in depths:
-        if n < 1:
-            raise ValueError(f"search depth must be at least 1, got {n}")
+    depths = check_depths(n_list)
     users = probes.evaluated_users
     if not users:
         raise ValueError("no evaluable users: every profile has fewer than 2 ratings")
@@ -151,10 +161,6 @@ class ParamGrid:
 class SweepResult:
     best_row: dict
     rows: list[dict]
-    objective_n: int
-    # the depths every row's hits are scored at: n_list, then objective_n
-    # if n_list lacks it
-    depths: list[int]
     # each family's first row with the largest objective hit rate
     best_per_family: dict[str, dict]
 
@@ -165,16 +171,17 @@ def grid_sweep(
     objective_n: int = 10,
     n_list: Sequence[int] = (10, 20, 50),
 ) -> SweepResult:
-    """Evaluate every grid point and pick the best by H@objective_n, over
-    the whole grid and within each family.
+    """Evaluate every grid point at the depths ``n_list`` and pick the best
+    by H@objective_n, one of those depths, over the whole grid and within
+    each family.
 
     Ties break toward the earlier grid point.  All points share one split
     and one similarity model, and each user's similarity rows are
     gathered once for all points.
     """
-    depths = list(n_list)
+    depths = check_depths(n_list)
     if objective_n not in depths:
-        depths.append(objective_n)
+        raise ValueError(f"objective depth {objective_n} is not among the depths {depths}")
     entries = list(grid.specs())
     if not entries:
         raise ValueError("parameter grid is empty")
@@ -200,4 +207,4 @@ def grid_sweep(
     # each family's rows are contiguous in grid order, so the first maximum
     # over the family bests is the first maximum over all rows
     best_row = max(per_family.values(), key=lambda row: row["hit_rate"][objective_n])
-    return SweepResult(best_row, rows, objective_n, depths, per_family)
+    return SweepResult(best_row, rows, per_family)

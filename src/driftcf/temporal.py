@@ -56,15 +56,12 @@ class TrendFitError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class SsnrSamples:
-    """(ssnr, age) samples as four parallel arrays, one entry per sample.
+    """(age, ssnr) samples as two parallel arrays, one entry per sample.
 
-    ``users``, ``items`` and ``ages`` are int64 and ``ssnr`` is float64.
-    ``collect_ssnr_ages`` emits them by evaluated user ascending, then in
-    profile order.
+    ``ages`` is int64 and ``ssnr`` is float64.  ``collect_ssnr_ages``
+    emits them by evaluated user ascending, then in profile order.
     """
 
-    users: np.ndarray
-    items: np.ndarray
     ages: np.ndarray
     ssnr: np.ndarray
 
@@ -153,8 +150,7 @@ def collect_ssnr_ages(
     vanished = denom <= 0.0
     infinite = vanished & (num > 0.0)
     kept = ~vanished
-    user_col = np.repeat(users, lengths)
-    samples = SsnrSamples(user_col[kept], items[kept], ages[kept], num[kept] / denom[kept])
+    samples = SsnrSamples(ages[kept], num[kept] / denom[kept])
     exclusions = {"degenerate_infinite": int(infinite.sum()), "isolated": int((vanished & ~infinite).sum())}
     return samples, exclusions
 

@@ -1,9 +1,11 @@
 """Conversions between the library's array layouts and plain Python
 values, for tests that state events as triples, profiles as lists of
 (item, timestamp) pairs, similarity rows or scores as a map or ssnr
-samples as rows; and the one-call shortcuts only tests use: one
-similarity, the one-pair ssnr and the split-build-evaluate pipeline."""
+samples as rows; the one-call shortcuts only tests use: one
+similarity, the one-pair ssnr and the split-build-evaluate pipeline; and
+the class named by a CLI error line."""
 
+import re
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -14,6 +16,13 @@ from driftcf.evaluation import EvalReport, evaluate_split, prepare_evaluation
 from driftcf.recommender import ScoreVector
 from driftcf.similarity import SimilarityModel
 from driftcf.temporal import SsnrSamples
+
+
+def error_class(err: str) -> str:
+    """The exception class named by the last line of ``err``, the CLI's
+    pipeline error line ``driftcf: error: <class>: <message>``."""
+    last_line = err.strip().splitlines()[-1]
+    return re.fullmatch(r"driftcf: error: (\w+): .*", last_line).group(1)
 
 
 def rating_log(triples) -> RatingLog:
@@ -112,26 +121,19 @@ def evaluate(
 class SampleRow(NamedTuple):
     """One ssnr sample as a row."""
 
-    user: int
-    item: int
     age: int
     ssnr: float
 
 
 def ssnr_samples(rows) -> SsnrSamples:
-    """SsnrSamples holding ``rows`` of (user, item, age, ssnr), in order."""
+    """SsnrSamples holding ``rows`` of (age, ssnr), in order."""
     rows = list(rows)
     return SsnrSamples(
         np.array([r[0] for r in rows], dtype=np.int64),
-        np.array([r[1] for r in rows], dtype=np.int64),
-        np.array([r[2] for r in rows], dtype=np.int64),
-        np.array([r[3] for r in rows], dtype=float),
+        np.array([r[1] for r in rows], dtype=float),
     )
 
 
 def sample_rows(samples: SsnrSamples) -> list[SampleRow]:
     """The samples of ``samples`` as rows, in order."""
-    return [
-        SampleRow(int(u), int(i), int(a), float(v))
-        for u, i, a, v in zip(samples.users, samples.items, samples.ages, samples.ssnr)
-    ]
+    return [SampleRow(int(a), float(v)) for a, v in zip(samples.ages, samples.ssnr)]

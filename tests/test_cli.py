@@ -14,8 +14,12 @@ from hypothesis import strategies as st
 
 from driftcf import cli
 from driftcf.cli import build_parser, main
-from driftcf.decay import FAMILIES, parse_decay
+from driftcf.dataset import preprocess
+from driftcf.decay import FAMILIES, Constant, parse_decay
+from driftcf.evaluation import evaluate_split, prepare_evaluation
+from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from driftcf.temporal import TrendFit
+from helpers import error_class
 
 
 def run(capsys, *argv):
@@ -35,6 +39,14 @@ def run_any_exit(capsys, *argv):
             code = exc.code
     runtime = [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)]
     return code, capsys.readouterr().err, runtime
+
+
+@pytest.fixture(scope="module")
+def depth_split():
+    """The split and model of a small synthetic log."""
+    return prepare_evaluation(preprocess(generate_synthetic(SyntheticConfig(
+        users=20, items=60, events=500, topics=4, seed=11,
+    ))))
 
 
 @pytest.fixture()
@@ -85,15 +97,17 @@ class TestIngest:
     def test_missing_file_exit_one(self, capsys):
         code, _out, err = run(capsys, "ingest", "--in", "/nonexistent/x.tsv")
         assert code == 1
-        assert "error" in err
+        # one line, naming the error's class
+        assert err.startswith("driftcf: error: FileNotFoundError: ") and err.count("\n") == 1
 
     def test_json_errors_mode(self, capsys):
-        code, _out, err = run(
+        # every pipeline error is one line naming its class; there is no second format
+        code, err, _runtime = run_any_exit(
             capsys, "--json-errors", "ingest", "--in", "/nonexistent/x.tsv"
         )
-        assert code == 1
-        payload = json.loads(err.strip().splitlines()[-1])
-        assert "error" in payload
+        assert code == 2
+        assert "unrecognized arguments: --json-errors" in err
+        assert "Traceback" not in err
 
     @pytest.mark.parametrize("flag", ["--delimiter", "--columns"])
     def test_log_format_flags_are_usage_errors(self, small_log, capsys, flag):
@@ -261,7 +275,7 @@ class TestRecommend:
             "--at", "200000000",
         )
         assert code == 1
-        assert "nobody" in err
+        assert "ValueError: unknown user 'nobody'" in err
 
     def test_bad_decay_spec_names_key(self, small_log, capsys):
         code, _out, err = run(
@@ -292,8 +306,27 @@ class TestEvaluate:
             capsys, "evaluate", "--in", str(small_log), "--n", "10,10", "--out", str(out)
         )
         assert code == 1
-        assert "depth 10 is listed twice in '10,10'" in err
+        assert "invalid depth list '10,10': depth 10 is listed twice" in err
         assert not out.exists()
+
+    @settings(max_examples=60, deadline=None)
+    @given(depths=st.lists(st.integers(-2, 60), max_size=4))
+    @example(depths=[])
+    @example(depths=[10, 10])
+    @example(depths=[0, 5])
+    def test_cli_and_library_take_the_same_depth_lists(self, depth_split, depths):
+        train, probes, model = depth_split
+        try:
+            parsed = cli._parse_n_list(",".join(map(str, depths)))
+        except ValueError:
+            parsed = None
+        try:
+            report = evaluate_split(train, probes, model, Constant(), depths)
+        except ValueError:
+            report = None
+        assert (parsed is None) == (report is None)
+        if report is not None:
+            assert parsed == [r.n for r in report.results] == depths
 
     def test_normalize_hitrate_is_usage_error(self, small_log, capsys):
         # the report holds hits and evaluated_users, whose ratio is the hit fraction
@@ -386,10 +419,36 @@ class TestSweep:
         table = tmp_path / "sweep.csv"
         code, _out, err = run(
             capsys, "sweep", "--in", str(small_log), "--grid-points", "1",
-            "--n", "20,20", "--objective-n", "20", "--table-out", str(table),
+            "--n", "20,20", "--table-out", str(table),
         )
         assert code == 1
-        assert "depth 20 is listed twice in '20,20'" in err
+        assert "invalid depth list '20,20': depth 20 is listed twice" in err
+        assert not table.exists()
+
+    def test_objective_is_the_first_depth(self, small_log, tmp_path, capsys):
+        table, best = tmp_path / "sweep.csv", tmp_path / "best.json"
+        code, _out, _err = run(
+            capsys, "sweep", "--in", str(small_log), "--family", "constant,exp",
+            "--grid-points", "2", "--n", "20,10", "--table-out", str(table),
+            "--best-out", str(best),
+        )
+        assert code == 0
+        lines = table.read_text().splitlines()
+        assert lines[0].endswith(",h_at_20,h_at_10")
+        rates = [float(row.split(",")[-2]) for row in lines[1:]]
+        chosen = json.loads(best.read_text())
+        assert chosen["objective_n"] == 20
+        assert list(chosen["best"]["hit_rate"]) == ["20", "10"]
+        assert chosen["best"]["hit_rate"]["20"] == pytest.approx(max(rates))
+
+    def test_objective_n_is_usage_error(self, small_log, tmp_path, capsys):
+        table = tmp_path / "sweep.csv"
+        code, err, _runtime = run_any_exit(
+            capsys, "sweep", "--in", str(small_log), "--grid-points", "1",
+            "--objective-n", "20", "--table-out", str(table),
+        )
+        assert code == 2
+        assert "unrecognized arguments: --objective-n 20" in err
         assert not table.exists()
 
     def test_unknown_family_rejected(self, small_log, capsys):
@@ -427,6 +486,39 @@ class TestSweep:
         assert main(args + ["--table-out", str(a)]) == 0
         assert main(args + ["--table-out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# a refused flag value, as the last two arguments, and its error
+REFUSED_FLAGS = [
+    (["evaluate", "--decay", "bogus"], "DecayParseError: unknown decay family 'bogus'"),
+    (["evaluate", "--n", "0"], "invalid depth list '0'"),
+    (["recommend", "--user", "u0001", "--at", "1", "--decay", "exp:Tq=5"],
+     "unknown parameter 'tq'"),
+    (["recommend", "--user", "u0001", "--at", "1", "--n", "0"],
+     "search depth must be at least 1, got 0"),
+    (["sweep", "--table-out", "t.csv", "--family", "bogus"], "unknown decay family 'bogus'"),
+    (["sweep", "--table-out", "t.csv", "--grid-points", "0"],
+     "points per parameter must be at least 1"),
+    (["sweep", "--table-out", "t.csv", "--n", "10,10"], "depth 10 is listed twice"),
+]
+
+
+class TestFlagsBeforeLog:
+    """A refused flag value is reported before the log is read."""
+
+    @pytest.mark.parametrize(
+        "argv, message", REFUSED_FLAGS,
+        ids=[" ".join(argv[:1] + argv[-2:]) for argv, _m in REFUSED_FLAGS],
+    )
+    def test_refused_flag_named_without_reading_the_log(
+        self, tmp_path, monkeypatch, capsys, argv, message
+    ):
+        monkeypatch.chdir(tmp_path)
+        code, _out, err = run(capsys, *argv, "--in", str(tmp_path / "missing.tsv"))
+        assert code == 1
+        assert message in err
+        assert "FileNotFoundError" not in err
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTopLevel:
@@ -504,12 +596,12 @@ class TestMutatedInputs:
 
     @staticmethod
     def exits_cleanly(capsys, *argv) -> int:
-        code = main(["--json-errors", *argv])
+        code = main(list(argv))
         err = capsys.readouterr().err
         assert code in (0, 1)
         assert "Traceback" not in err
         if code == 1:
-            assert json.loads(err.strip().splitlines()[-1])["type"]
+            assert error_class(err)
         return code
 
     @staticmethod
@@ -642,11 +734,11 @@ class TestFuzzedFlags:
         )
 
     @fuzz
-    @given(points=grid_points(2), n=depth_lists, objective=ints)
-    def test_sweep(self, fuzz_inputs, tmp_path, capsys, points, n, objective):
+    @given(points=grid_points(2), n=depth_lists)
+    def test_sweep(self, fuzz_inputs, tmp_path, capsys, points, n):
         log = tmp_path / "log.tsv"
         log.write_bytes(fuzz_inputs)
         self.exits_cleanly(
             capsys, "sweep", "--in", str(log), "--table-out", str(tmp_path / "out"),
-            f"--grid-points={points}", f"--n={n}", f"--objective-n={objective}",
+            f"--grid-points={points}", f"--n={n}",
         )

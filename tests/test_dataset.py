@@ -99,8 +99,8 @@ class TestPreprocess:
 
     def test_duplicates_collapse_to_earliest(self):
         ds = preprocess(log_of(("u1", "a", 5), ("u1", "a", 2), ("u2", "a", 9)))
-        u1 = ds.user_index["u1"]
-        assert profile_pairs(ds)[u1] == [(ds.item_index["a"], 2)]
+        u1 = ds.user_ids.index("u1")
+        assert profile_pairs(ds)[u1] == [(ds.item_ids.index("a"), 2)]
 
     def test_profiles_sorted_by_time_then_item(self):
         ds = preprocess(
@@ -116,7 +116,7 @@ class TestPreprocess:
         ds = preprocess(
             log_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
         )
-        assert ds.sparsity == 1.0 - 4 / (2 * 2)
+        assert ds.summary()["sparsity"] == 1.0 - 4 / (2 * 2)
         assert ds.summary()["excluded_users"] == 0
 
 
@@ -182,11 +182,11 @@ class TestSplitLeaveLatest:
             )
         )
         train, probes = split_leave_latest(ds)
-        u1 = ds.user_index["u1"]
-        assert probes.probes[u1] == (ds.item_index["c"], 9)
+        u1 = ds.user_ids.index("u1")
+        assert probes.probes[u1] == (ds.item_ids.index("c"), 9)
         assert [i for i, _t in profile_pairs(train)[u1]] == [
-            ds.item_index["a"],
-            ds.item_index["b"],
+            ds.item_ids.index("a"),
+            ds.item_ids.index("b"),
         ]
 
     def test_single_rating_user_excluded(self):
@@ -194,9 +194,10 @@ class TestSplitLeaveLatest:
             log_of(("u1", "a", 1), ("u2", "a", 2), ("u2", "b", 3), ("u3", "b", 4))
         )
         train, probes = split_leave_latest(ds)
-        u1 = ds.user_index["u1"]
-        u3 = ds.user_index["u3"]
-        assert sorted([u1, u3]) == sorted(probes.excluded_users)
+        u1 = ds.user_ids.index("u1")
+        u3 = ds.user_ids.index("u3")
+        assert sorted(set(range(ds.n_users)) - set(probes.probes)) == sorted([u1, u3])
+        assert ds.summary()["excluded_users"] == 2
         assert len(train.profiles[u1]) == 0
 
     def test_timestamp_tie_breaks_to_higher_item_index(self):
@@ -207,8 +208,8 @@ class TestSplitLeaveLatest:
             )
         )
         train, probes = split_leave_latest(ds)
-        hi = max(ds.item_index["a"], ds.item_index["b"])
-        for u in (ds.user_index["u1"], ds.user_index["u2"]):
+        hi = max(ds.item_ids.index("a"), ds.item_ids.index("b"))
+        for u in (ds.user_ids.index("u1"), ds.user_ids.index("u2")):
             assert probes.probes[u][0] == hi
 
     def test_partition_counts(self):
@@ -216,7 +217,8 @@ class TestSplitLeaveLatest:
         for _ in range(100):
             ds = preprocess(random_log(rng))
             train, probes = split_leave_latest(ds)
-            excluded_ratings = sum(len(ds.profiles[u]) for u in probes.excluded_users)
+            excluded = set(range(ds.n_users)) - set(probes.probes)
+            excluded_ratings = sum(len(ds.profiles[u]) for u in excluded)
             assert train.n_ratings + len(probes.probes) == ds.n_ratings - excluded_ratings
 
     def test_probe_not_in_train_profile_and_is_latest(self):
@@ -330,6 +332,21 @@ class TestColumnarLayout:
         with pytest.raises(ValueError):
             prof[0, 1] = 0
         assert ds.ratings.dtype == ds.indptr.dtype == np.int64
+
+    def test_caller_arrays_stay_writeable(self):
+        indptr = np.array([0, 1, 2], dtype=np.int64)
+        ratings = np.array([[0, 1], [0, 2]], dtype=np.int64)
+        stamps = np.array([1, 2], dtype=np.int64)
+        ds = Dataset(["u1", "u2"], ["a"], indptr, ratings)
+        log = RatingLog(["u1", "u2"], ["a", "a"], stamps)
+        pairs = ((indptr, ds.indptr), (ratings, ds.ratings), (stamps, log.timestamps))
+        for given_array, stored in pairs:
+            # the stored array is a view, not a copy
+            assert np.shares_memory(given_array, stored)
+            assert given_array.flags.writeable
+            assert not stored.flags.writeable
+            with pytest.raises(ValueError):
+                stored[0] = 0
 
     def test_content_hash_reads_ids_offsets_and_rows(self):
         ds = preprocess(log_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4)))

@@ -135,10 +135,10 @@ class TestEvaluate:
         with pytest.raises(ValueError):
             evaluate(ds, Constant(), [10])
 
-    def test_duplicate_depths_count_once(self):
+    def test_duplicate_depths_rejected(self):
         ds = dataset_where_probe_always_wins()
-        report = evaluate(ds, Constant(), [1, 1])
-        assert [(r.n, r.hits, r.hit_rate) for r in report.results] == [(1, 10, 1.0)] * 2
+        with pytest.raises(ValueError, match="depth 1 is listed twice"):
+            evaluate(ds, Constant(), [1, 1])
 
     def test_report_lookup(self):
         report = EvalReport("constant", 3, [])
@@ -234,17 +234,22 @@ class TestGridSweep:
         table_best = max(row["hit_rate"][10] for row in result.rows)
         assert result.best_row["hit_rate"][10] == table_best
 
+    # an empty ``depths`` means grid_sweep refuses the call
     @pytest.mark.parametrize("objective_n, n_list, depths", [
         (10, [10, 20], [10, 20]),
-        (5, [10, 20], [10, 20, 5]),
-        (10, [10, 10], [10, 10]),
+        (5, [10, 20], []),
+        (10, [10, 10], []),
     ])
     def test_depths_are_the_scored_ones(self, objective_n, n_list, depths):
         ds = dataset_where_probe_always_wins()
         grid = ParamGrid({"constant": {}})
+        if not depths:
+            with pytest.raises(ValueError, match="is not among the depths|is listed twice"):
+                grid_sweep(ds, grid, objective_n=objective_n, n_list=n_list)
+            return
         result = grid_sweep(ds, grid, objective_n=objective_n, n_list=n_list)
-        assert result.depths == depths
-        assert list(result.rows[0]["hit_rate"]) == list(dict.fromkeys(depths))
+        assert list(result.rows[0]["hit_rate"]) == depths
+        assert list(result.rows[0]["hits"]) == depths
 
     def test_tie_breaks_to_earlier_grid_order(self):
         ds = dataset_where_probe_always_wins()

@@ -1,6 +1,5 @@
 """Similarity model construction, queries, and the binary cache."""
 
-import json
 import math
 import random
 import struct
@@ -26,6 +25,7 @@ from driftcf.similarity import (
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import (
     dataset_from_profiles,
+    error_class,
     profile_pairs,
     rating_log,
     similarity_row,
@@ -44,7 +44,7 @@ class TestBuildSimilarity:
     def test_identical_user_sets_give_one(self):
         train = train_of(("u1", "i", 1), ("u2", "i", 2), ("u1", "j", 3), ("u2", "j", 4))
         model = build_similarity(train)
-        i, j = train.item_index["i"], train.item_index["j"]
+        i, j = train.item_ids.index("i"), train.item_ids.index("j")
         assert similarity_value(model, i, j) == pytest.approx(1.0, abs=1e-15)
 
     def test_disjoint_user_sets_not_stored(self):
@@ -55,7 +55,7 @@ class TestBuildSimilarity:
             ("u1", "k", 5), ("u2", "k", 6), ("u3", "k", 7), ("u3b", "k", 8),
         )
         model = build_similarity(train)
-        i, j = train.item_index["i"], train.item_index["j"]
+        i, j = train.item_ids.index("i"), train.item_ids.index("j")
         assert j not in similarity_row(model, i)
         assert similarity_value(model, i, j) == 0.0
 
@@ -67,7 +67,7 @@ class TestBuildSimilarity:
             ("a", "k", 6), ("c", "k", 7), ("d", "k", 8),
         )
         model = build_similarity(train)
-        i, j = train.item_index["i"], train.item_index["j"]
+        i, j = train.item_ids.index("i"), train.item_ids.index("j")
         expected = 1.0 / (math.sqrt(2) * math.sqrt(3))
         assert similarity_value(model, i, j) == pytest.approx(expected, abs=1e-12)
 
@@ -270,12 +270,12 @@ class TestRowQueries:
             ("u1", "c", 5), ("u2", "c", 6), ("u3", "c", 7), ("u4", "c", 8),
         )
         # drop c from the training profiles to isolate a from b
-        c = train.item_index["c"]
+        c = train.item_ids.index("c")
         train = dataset_from_profiles(train.user_ids, train.item_ids, [
             [(i, t) for i, t in prof if i != c] for prof in profile_pairs(train)
         ])
         model = build_similarity(train)
-        assert similarity_row(model, train.item_index["a"]).get(train.item_index["b"]) is None
+        assert similarity_row(model, train.item_ids.index("a")).get(train.item_ids.index("b")) is None
 
 
 def old_row_sq_sums(matrix):
@@ -351,7 +351,7 @@ class TestCache:
             (u, i) for u in ("u1", "u2", "u3") for i in ("a", "b")
         )))
         model = build_similarity(train)
-        assert similarity_value(model, train.item_index["a"], train.item_index["b"]) == 1 + 2.0**-52
+        assert similarity_value(model, train.item_ids.index("a"), train.item_ids.index("b")) == 1 + 2.0**-52
         path = str(tmp_path / "sim.bin")
         save_cache(model, path, train.content_hash())
         loaded = load_cache(path, train.content_hash())
@@ -517,9 +517,9 @@ class TestCorruptCache:
         path.write_bytes(bytes(out))
         with pytest.raises(CacheFormatError, match=f"unsupported cache version {version}"):
             load_cache(str(path), blob[8:40].hex())
-        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
         assert code == 1
-        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+        assert error_class(capsys.readouterr().err) == "CacheFormatError"
 
     def test_version_two_cache_rejected(self, cli_cache, tmp_path, capsys):
         # version 2 stored one record per item: index, user count, entry
@@ -535,9 +535,9 @@ class TestCorruptCache:
         path.write_bytes(b"".join(parts))
         with pytest.raises(CacheFormatError, match="unsupported cache version 2"):
             load_cache(str(path), blob[8:40].hex())
-        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
         assert code == 1
-        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+        assert error_class(capsys.readouterr().err) == "CacheFormatError"
 
     @pytest.mark.parametrize("command", ["evaluate", "analyze-ssnr"])
     @pytest.mark.parametrize("extra", [-60, 30])
@@ -612,10 +612,10 @@ class TestCorruptCache:
         log, blob = cli_cache
         path = tmp_path / "bad.bin"
         path.write_bytes(corrupt_cache(blob, kind))
-        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
         err = capsys.readouterr().err
         assert code == 1
-        assert json.loads(err.strip().splitlines()[-1])["type"] == "CacheFormatError"
+        assert error_class(err) == "CacheFormatError"
 
     @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
@@ -628,11 +628,11 @@ class TestCorruptCache:
             out[data.draw(st.integers(0, span - 1))] = data.draw(st.integers(0, 255))
         path = tmp_path / "mutated.bin"
         path.write_bytes(bytes(out))
-        code = main(["--json-errors", "evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
         err = capsys.readouterr().err
         assert code in (0, 1)
         assert "Traceback" not in err
         if code == 1:
-            assert json.loads(err.strip().splitlines()[-1])["type"] in (
+            assert error_class(err) in (
                 "CacheFormatError", "CacheMismatchError",
             )

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftcf.dataset import ProbeSet
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
     BIN_RATIO,
@@ -142,12 +143,9 @@ class TestCollect:
             if two:
                 break
         model = build_similarity(train)
-        samples, exclusions = collect_ssnr_ages(train, probes, model)
         u = two[0]
-        mine = [s for s in sample_rows(samples) if s.user == u]
-        excluded_mine = 2 - len(mine)
-        assert 0 <= excluded_mine <= 2
-        assert len(mine) + excluded_mine == 2
+        mine, exclusions = collect_ssnr_ages(train, ProbeSet({u: probes.probes[u]}), model)
+        assert len(mine) + sum(exclusions.values()) == 2
 
     def test_sample_count_identity(self):
         rng = random.Random(78)
@@ -186,11 +184,9 @@ class TestCollect:
                 except DegenerateRatioError as exc:
                     tallies[exc.kind] += 1
                     continue
-                rows.append(SampleRow(u, item, probe_time - ts, value))
+                rows.append(SampleRow(probe_time - ts, value))
         samples, exclusions = collect_ssnr_ages(train, probes, model)
-        assert [a.dtype for a in (samples.users, samples.items, samples.ages, samples.ssnr)] == [
-            np.int64, np.int64, np.int64, np.float64
-        ]
+        assert [a.dtype for a in (samples.ages, samples.ssnr)] == [np.int64, np.float64]
         assert sample_rows(samples) == rows
         assert exclusions == tallies
         return tallies
@@ -225,7 +221,7 @@ def naive_bins(samples, ratio, age_min):
 
 class TestLogBinAverage:
     def test_single_sample(self):
-        curve = log_bin_average(ssnr_samples([SampleRow(0, 0, 100, 0.5)]))
+        curve = log_bin_average(ssnr_samples([SampleRow(100, 0.5)]))
         assert len(curve.bins) == 1
         b = curve.bins[0]
         assert b.mean_ssnr == 0.5
@@ -234,14 +230,14 @@ class TestLogBinAverage:
 
     def test_two_samples_one_bin_mean(self):
         # both inside the bin [10**2, 10**2.1)
-        samples = [SampleRow(0, 0, 110, 0.2), SampleRow(0, 1, 111, 0.4)]
+        samples = [SampleRow(110, 0.2), SampleRow(111, 0.4)]
         curve = log_bin_average(ssnr_samples(samples))
         assert len(curve.bins) == 1
         assert curve.bins[0].mean_ssnr == pytest.approx(0.3, abs=1e-15)
         assert curve.bins[0].count == 2
 
     def test_age_zero_clamped_into_first_bin(self):
-        samples = [SampleRow(0, 0, 0, 1.0), SampleRow(0, 1, 1, 3.0)]
+        samples = [SampleRow(0, 1.0), SampleRow(1, 3.0)]
         curve = log_bin_average(ssnr_samples(samples))
         assert len(curve.bins) == 1
         assert curve.bins[0].mean_ssnr == pytest.approx(2.0)
@@ -253,8 +249,8 @@ class TestLogBinAverage:
     def test_bins_are_geometric_and_ordered(self):
         rng = random.Random(5)
         samples = [
-            SampleRow(0, k, rng.randrange(0, 10**7), rng.random())
-            for k in range(500)
+            SampleRow(rng.randrange(0, 10**7), rng.random())
+            for _ in range(500)
         ]
         curve = log_bin_average(ssnr_samples(samples))
         for b in curve.bins:
@@ -265,8 +261,8 @@ class TestLogBinAverage:
     def test_matches_naive_grouping_oracle(self):
         rng = random.Random(6)
         samples = [
-            SampleRow(0, k, rng.randrange(0, 10**8), rng.random() * 10)
-            for k in range(1000)
+            SampleRow(rng.randrange(0, 10**8), rng.random() * 10)
+            for _ in range(1000)
         ]
         ratio, age_min = 10 ** 0.1, 1.0
         curve = log_bin_average(ssnr_samples(samples))
@@ -287,22 +283,24 @@ class TestLogBinAverage:
         assert len(edges) == 190
         ages = [0, 2**63 - 1] + [edge + d for edge in edges for d in (-1, 0, 1)]
         rng = random.Random(8)
-        rows = [SampleRow(0, n, age, rng.random() * 10) for n, age in enumerate(ages)]
+        rows = [SampleRow(age, rng.random() * 10) for age in ages]
         rng.shuffle(rows)
         curve = log_bin_average(ssnr_samples(rows))
-        expected = [CurveBin(*b) for b in scan_bins(rows, ratio, 1.0)]
+        # scan_bins reads (user, item, age, ssnr) rows
+        expected = [CurveBin(*b) for b in scan_bins([(0, 0, *r) for r in rows], ratio, 1.0)]
         assert list(curve.bins) == expected
 
     def test_ages_beyond_float_precision_binned_exactly(self):
         # 2**63 - 1 rounds up to the float 2**63; as an integer it is below it
         ages = [2**63 - 1, 2**63 - 2, 2**62, 2**62 - 1, 2**53 + 1, 2**53, 2**53 - 1]
-        rows = [SampleRow(0, n, age, float(n)) for n, age in enumerate(ages)]
+        rows = [SampleRow(age, float(n)) for n, age in enumerate(ages)]
         curve = log_bin_average(ssnr_samples(rows))
-        expected = [CurveBin(*b) for b in scan_bins(rows, 10 ** 0.1, 1.0)]
+        scanned = scan_bins([(0, 0, *r) for r in rows], 10 ** 0.1, 1.0)
+        expected = [CurveBin(*b) for b in scanned]
         assert list(curve.bins) == expected
 
     def test_total_count(self):
-        samples = [SampleRow(0, k, 10 * k + 1, 1.0) for k in range(50)]
+        samples = [SampleRow(10 * k + 1, 1.0) for k in range(50)]
         assert log_bin_average(ssnr_samples(samples)).total_count == 50
 
     @settings(max_examples=200, deadline=None)
@@ -311,7 +309,7 @@ class TestLogBinAverage:
     @example([(5, 1.7e308), (5, 1.7e308), (500, 1.0)])
     def test_every_bin_is_well_formed(self, pairs):
         # the trend fit reads each bin at sqrt(age_lo * age_hi) and log(mean_ssnr)
-        samples = ssnr_samples(SampleRow(0, n, age, ssnr) for n, (age, ssnr) in enumerate(pairs))
+        samples = ssnr_samples(pairs)
         try:
             curve = log_bin_average(samples)
         except ValueError as exc:
