@@ -20,7 +20,14 @@ from typing import Sequence
 
 from . import __version__
 from .atomic import atomic_open
-from .dataset import Dataset, parse_events, preprocess, split_leave_latest, write_events
+from .dataset import (
+    MAX_TIMESTAMP,
+    Dataset,
+    parse_events,
+    preprocess,
+    split_leave_latest,
+    write_events,
+)
 from .decay import FAMILIES, Piecewise, format_decay, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
@@ -175,6 +182,8 @@ def _cmd_analyze_ssnr(args) -> int:
 def _cmd_recommend(args) -> int:
     spec = parse_decay(args.decay)
     check_depths([args.n])
+    if not 0 <= args.at <= MAX_TIMESTAMP:
+        raise ValueError(f"query time {args.at} is outside [0, 2**63 - 1]")
     dataset = _load_dataset(args.input)
     if args.user not in dataset.user_ids:
         raise ValueError(f"unknown user {args.user!r}")

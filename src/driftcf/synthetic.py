@@ -158,4 +158,4 @@ def generate_synthetic(config: SyntheticConfig) -> RatingLog:
 
     raw_events.sort()
     stamps, users, items = zip(*raw_events)
-    return RatingLog([f"u{u:04d}" for u in users], [f"b{i:05d}" for i in items], stamps)
+    return RatingLog.from_ids([f"u{u:04d}" for u in users], [f"b{i:05d}" for i in items], stamps)

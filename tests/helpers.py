@@ -28,12 +28,14 @@ def error_class(err: str) -> str:
 def rating_log(triples) -> RatingLog:
     """A RatingLog of (user, item, timestamp) ``triples``, in order."""
     triples = list(triples)
-    return RatingLog([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples])
+    return RatingLog.from_ids([t[0] for t in triples], [t[1] for t in triples], [t[2] for t in triples])
 
 
 def log_triples(log: RatingLog) -> list[tuple[str, str, int]]:
     """The events of ``log`` as (user, item, timestamp) triples, in order."""
-    return list(zip(log.users, log.items, log.timestamps.tolist()))
+    users = [log.user_ids[u] for u in log.users.tolist()]
+    items = [log.item_ids[i] for i in log.items.tolist()]
+    return list(zip(users, items, log.timestamps.tolist()))
 
 
 def dataset_from_profiles(user_ids, item_ids, profiles) -> Dataset:

@@ -3,11 +3,11 @@
 Everything here is deliberately naive: dense two-loop cosine from user
 sets, full-catalog loops for signal-to-noise ratios, triple-loop scoring,
 an entry-by-entry score sum in profile order, full-sort ranking,
-edge-scanning log-binning and a trend fit that refits every breakpoint
-candidate.  ``coo_similarity`` keeps the earlier sparse build, which
-round-trips the co-count product through COO, as the bit-for-bit
-reference of the canonical one.  None of it shares code with the library
-paths it checks.
+edge-scanning log-binning, a trend fit that refits every breakpoint
+candidate and an event-log parse one line at a time.
+``coo_similarity`` keeps the earlier sparse build, which round-trips the
+co-count product through COO, as the bit-for-bit reference of the
+canonical one.  None of it shares code with the library paths it checks.
 """
 
 import math
@@ -16,7 +16,7 @@ import random
 import numpy as np
 import scipy.sparse as sp
 
-from driftcf.dataset import Dataset, RatingLog, preprocess, split_leave_latest
+from driftcf.dataset import MAX_TIMESTAMP, Dataset, RatingLog, preprocess, split_leave_latest
 from helpers import rating_log, similarity_row
 
 
@@ -167,6 +167,33 @@ def pipeline_hits(dataset, weight_fn, n_list):
             if probe_item in ranked:
                 hits[n] += 1
     return hits, len(probes.evaluated_users)
+
+
+def parse_events_per_line(stream):
+    """The event log parse one line at a time, as ``str`` operations: the
+    (user, item, timestamp) events and the count of skipped lines that
+    ``parse_events`` must return."""
+    users: list[str] = []
+    items: list[str] = []
+    stamps: list[int] = []
+    skipped = 0
+    for line in stream:
+        fields = line.rstrip("\r\n").split("\t")
+        if len(fields) != 3:
+            skipped += 1
+            continue
+        user, item, stamp = fields
+        # int() alone would also take "+12", " 12", "1_000" and non-ASCII
+        # digits; a digit string of at most 18 characters is below 2**63
+        if not (user and item and stamp.isascii() and stamp.isdigit()) or (
+            len(stamp) > 18 and int(stamp) > MAX_TIMESTAMP
+        ):
+            skipped += 1
+            continue
+        users.append(user)
+        items.append(item)
+        stamps.append(int(stamp))
+    return list(zip(users, items, stamps)), skipped
 
 
 def random_log(rng: random.Random, max_users=15, max_items=20, max_events=120) -> RatingLog:

@@ -496,6 +496,9 @@ REFUSED_FLAGS = [
      "unknown parameter 'tq'"),
     (["recommend", "--user", "u0001", "--at", "1", "--n", "0"],
      "search depth must be at least 1, got 0"),
+    (["recommend", "--user", "u0001", "--at", "99999999999999999999"],
+     "query time 99999999999999999999 is outside [0, 2**63 - 1]"),
+    (["recommend", "--user", "u0001", "--at", "-1"], "query time -1 is outside [0, 2**63 - 1]"),
     (["sweep", "--table-out", "t.csv", "--family", "bogus"], "unknown decay family 'bogus'"),
     (["sweep", "--table-out", "t.csv", "--grid-points", "0"],
      "points per parameter must be at least 1"),

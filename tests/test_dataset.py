@@ -1,7 +1,9 @@
 """Parsing, preprocessing, and leave-the-latest-out split."""
 
+import gc
 import io
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from driftcf.dataset import (
+    MAX_TIMESTAMP,
     Dataset,
     RatingLog,
     parse_events,
@@ -16,8 +19,9 @@ from driftcf.dataset import (
     split_leave_latest,
     write_events,
 )
+from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import log_triples, profile_pairs, rating_log
-from oracles import random_log
+from oracles import parse_events_per_line, random_log
 
 
 def log_of(*triples) -> RatingLog:
@@ -45,7 +49,7 @@ class TestParseEvents:
     def test_wrong_field_count_and_negative_timestamp_skipped(self):
         text = "u1\ta\n\nu2\ta\t-5\nu2\ta\t7\n"
         log = parse_events(io.StringIO(text))
-        assert log.users == ["u2"]
+        assert log_triples(log) == [("u2", "a", 7)]
         assert log.skipped == 3
 
     def test_only_ascii_digit_timestamps_accepted(self):
@@ -62,7 +66,7 @@ class TestParseEvents:
         assert log_triples(log) == [("u1", "a", 2**63 - 1)]
         assert log.skipped == 2
         with pytest.raises(ValueError):
-            RatingLog(["u1"], ["a"], [2**63])
+            RatingLog.from_ids(["u1"], ["a"], [2**63])
 
     def test_write_round_trip(self):
         log = log_of(("u1", "a", 1), ("u2", "b", 2))
@@ -236,20 +240,41 @@ class TestSplitLeaveLatest:
 class TestRatingLog:
     def test_columns_must_have_equal_lengths(self):
         with pytest.raises(ValueError, match="equal lengths"):
-            RatingLog(["u1", "u2"], ["a"], [1, 2])
+            RatingLog.from_ids(["u1", "u2"], ["a"], [1, 2])
+        with pytest.raises(ValueError, match="equal lengths"):
+            RatingLog(["u1"], ["a"], [0, 0], [0], [1, 2])
 
     @pytest.mark.parametrize("users, items", [([""], ["a"]), (["u1"], [""])])
     def test_empty_identifiers_rejected(self, users, items):
         with pytest.raises(ValueError, match="non-empty"):
-            RatingLog(users, items, [1])
+            RatingLog.from_ids(users, items, [1])
+        with pytest.raises(ValueError, match="non-empty"):
+            RatingLog(users, items, [0], [0], [1])
 
     @pytest.mark.parametrize("stamp", [-1, 2**63, 2**64, 10**30])
     def test_timestamp_out_of_range_is_a_value_error(self, stamp):
         with pytest.raises(ValueError, match="2\\*\\*63"):
-            RatingLog(["u1"], ["a"], [stamp])
+            RatingLog.from_ids(["u1"], ["a"], [stamp])
+
+    @pytest.mark.parametrize("user_ids", [["u2", "u1"], ["u1", "u1"]])
+    def test_ids_must_be_strictly_increasing(self, user_ids):
+        with pytest.raises(ValueError, match="user ids must be strictly increasing"):
+            RatingLog(user_ids, ["a"], [0, 1], [0, 0], [1, 2])
+
+    @pytest.mark.parametrize("code", [-1, 1, 2**63, 2**64])
+    def test_codes_must_index_the_ids(self, code):
+        with pytest.raises(ValueError, match="item codes must index the 1 item ids"):
+            RatingLog(["u1"], ["a"], [0], [code], [1])
+
+    def test_from_ids_codes_through_sorted_ids(self):
+        log = RatingLog.from_ids(["u2", "u1", "u2"], ["b", "a", "a"], [3, 2, 1])
+        assert (log.user_ids, log.item_ids) == (["u1", "u2"], ["a", "b"])
+        assert log.users.dtype == log.items.dtype == np.int64
+        assert (log.users.tolist(), log.items.tolist()) == ([1, 0, 1], [1, 0, 0])
+        assert log_triples(log) == [("u2", "b", 3), ("u1", "a", 2), ("u2", "a", 1)]
 
     def test_timestamps_are_read_only_int64(self):
-        log = RatingLog(["u1"], ["a"], [5])
+        log = RatingLog.from_ids(["u1"], ["a"], [5])
         assert log.timestamps.dtype == np.int64
         with pytest.raises(ValueError):
             log.timestamps[0] = 6
@@ -290,7 +315,9 @@ class TestRoundTrip:
         write_events(log, buf)
         back = read_back(buf.getvalue())
         assert back.skipped == 0
-        assert back.users == log.users and back.items == log.items
+        assert back.user_ids == log.user_ids and back.item_ids == log.item_ids
+        assert back.users.tolist() == log.users.tolist()
+        assert back.items.tolist() == log.items.tolist()
         assert back.timestamps.tolist() == log.timestamps.tolist()
 
     @settings(max_examples=150, deadline=None)
@@ -312,6 +339,73 @@ class TestRoundTrip:
             write_events(rating_log(events), buf)
         assert str(exc.value) == f"identifier {first!r} holds a tab, CR or LF and cannot be written"
         assert buf.getvalue() == ""
+
+
+# Characters the parse must tell apart: the field and line breaks, NUL, a
+# sign, a space, ASCII and non-ASCII digits, and letters of one to four
+# UTF-8 bytes.
+LOG_CHARS = "\t\n\r\x00+ 019a\u00e9\u0661\uff11\U0001f600"
+# 18 to 21 digits after up to three leading zeros, on both sides of 2**63 - 1
+stamp_texts = st.builds(
+    lambda zeros, value: "0" * zeros + str(value),
+    st.integers(0, 3),
+    st.integers(10**17, 10**21 - 1) | st.integers(MAX_TIMESTAMP - 2, MAX_TIMESTAMP + 2),
+)
+
+
+def log_texts(chars: str):
+    """Texts of lines of up to four fields, three more often than not, each
+    line ending in LF, CRLF, CRs and LF, a lone CR or nothing."""
+    fields = (
+        st.text(chars, max_size=4)
+        | st.text(chars.translate({ord(c): None for c in FIELD_BREAKS}), min_size=1, max_size=3)
+        | st.text("0123456789", min_size=1, max_size=3)
+        | stamp_texts
+    )
+    lines = st.tuples(fields, fields, fields).map("\t".join) | st.lists(fields, max_size=4).map("\t".join)
+    ends = st.sampled_from(["\n", "\r\n", "\r\r\n", "\r", ""])
+    return st.lists(st.tuples(lines, ends), max_size=8).map(
+        lambda rows: "".join(line + end for line, end in rows)
+    )
+
+
+class TestColumnarParse:
+    """The array parse returns what a parse one line at a time returns."""
+
+    @staticmethod
+    def assert_same_parse(make_stream, text):
+        events, skipped = parse_events_per_line(make_stream(text))
+        log = parse_events(make_stream(text))
+        assert log_triples(log) == events
+        assert log.skipped == skipped
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=log_texts(LOG_CHARS + "\ud800"))
+    def test_string_stream(self, text):
+        # io.StringIO splits lines at LF only and can return a lone surrogate
+        self.assert_same_parse(io.StringIO, text)
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=log_texts(LOG_CHARS))
+    def test_utf8_text_file(self, text):
+        # universal newlines: CR and CRLF read as LF
+        self.assert_same_parse(
+            lambda t: io.TextIOWrapper(io.BytesIO(t.encode("utf-8")), encoding="utf-8"), text
+        )
+
+    def test_python_objects_scale_with_distinct_ids_not_events(self):
+        buf = io.StringIO()
+        write_events(generate_synthetic(SyntheticConfig(users=200, items=400, events=20_000)), buf)
+        text = buf.getvalue()
+        parse_events(io.StringIO(text[:1000]))
+        gc.collect()
+        before = sys.getallocatedblocks()
+        log = parse_events(io.StringIO(text))
+        grown = sys.getallocatedblocks() - before
+        distinct = len(log.user_ids) + len(log.item_ids)
+        assert (len(log), distinct) == (20_000, 600)
+        # one block per distinct id string, plus a few for the lists and arrays
+        assert grown < 2 * distinct
 
 
 class TestColumnarLayout:
@@ -336,10 +430,15 @@ class TestColumnarLayout:
     def test_caller_arrays_stay_writeable(self):
         indptr = np.array([0, 1, 2], dtype=np.int64)
         ratings = np.array([[0, 1], [0, 2]], dtype=np.int64)
+        users = np.array([0, 1], dtype=np.int64)
+        items = np.array([0, 0], dtype=np.int64)
         stamps = np.array([1, 2], dtype=np.int64)
         ds = Dataset(["u1", "u2"], ["a"], indptr, ratings)
-        log = RatingLog(["u1", "u2"], ["a", "a"], stamps)
-        pairs = ((indptr, ds.indptr), (ratings, ds.ratings), (stamps, log.timestamps))
+        log = RatingLog(["u1", "u2"], ["a"], users, items, stamps)
+        pairs = (
+            (indptr, ds.indptr), (ratings, ds.ratings),
+            (users, log.users), (items, log.items), (stamps, log.timestamps),
+        )
         for given_array, stored in pairs:
             # the stored array is a view, not a copy
             assert np.shares_memory(given_array, stored)

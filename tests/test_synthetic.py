@@ -39,7 +39,7 @@ class TestStructure:
     def test_events_are_distinct_per_user(self):
         log = generate_synthetic(SMALL)
         seen = set()
-        for key in zip(log.users, log.items):
+        for key in zip(log.users.tolist(), log.items.tolist()):
             assert key not in seen
             seen.add(key)
 
@@ -51,9 +51,9 @@ class TestStructure:
     def test_every_user_present_with_expected_share(self):
         log = generate_synthetic(SMALL)
         per_user = {}
-        for user in log.users:
+        for user in log.users.tolist():
             per_user[user] = per_user.get(user, 0) + 1
-        assert len(per_user) == 25
+        assert len(per_user) == len(log.user_ids) == 25
         assert all(count in (28, 29) for count in per_user.values())
 
     def test_zero_drift_variant(self):
