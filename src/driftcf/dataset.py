@@ -37,9 +37,14 @@ def _breaks_a_line(text: str) -> bool:
     return "\t" in text or "\r" in text or "\n" in text
 
 
-def _read_only(values, shape_tail: tuple[int, ...] = ()) -> np.ndarray:
-    """A read-only int64 view of ``values``; an array passed in stays writeable."""
-    array = np.ascontiguousarray(values, dtype=np.int64).view()
+def _read_only(values, rule: str, shape_tail: tuple[int, ...] = (), copy: bool = False) -> np.ndarray:
+    """A read-only int64 array of ``values``: a copy if ``copy``, else a
+    view, and an array passed in stays writeable.  A value past int64
+    raises ValueError(``rule``)."""
+    try:
+        array = np.array(values, dtype=np.int64, order="C", copy=copy or None).view()
+    except OverflowError:
+        raise ValueError(rule) from None
     if array.shape[1:] != shape_tail:
         raise ValueError(f"expected {1 + len(shape_tail)}-d int64 rows, got shape {array.shape}")
     array.flags.writeable = False
@@ -53,18 +58,19 @@ def _codes(ids: list[str]) -> tuple[list[str], np.ndarray]:
     return distinct, np.fromiter(map(index.__getitem__, ids), dtype=np.int64, count=len(ids))
 
 
-def _check_codes(name: str, ids: list[str], codes) -> np.ndarray:
+def _check_ids(name: str, ids: list[str]) -> None:
     if not all(ids):
         raise ValueError("user and item identifiers must be non-empty")
     if any(a >= b for a, b in zip(ids, ids[1:])):
         raise ValueError(f"{name} ids must be strictly increasing")
-    outside = ValueError(f"{name} codes must index the {len(ids)} {name} ids")
-    try:
-        codes = _read_only(codes)
-    except OverflowError:
-        raise outside from None
+
+
+def _check_codes(name: str, ids: list[str], codes) -> np.ndarray:
+    _check_ids(name, ids)
+    outside = f"{name} codes must index the {len(ids)} {name} ids"
+    codes = _read_only(codes, outside)
     if len(codes) and not 0 <= codes.min() <= codes.max() < len(ids):
-        raise outside
+        raise ValueError(outside)
     return codes
 
 
@@ -91,10 +97,7 @@ class RatingLog:
     skipped: int = 0
 
     def __post_init__(self) -> None:
-        try:
-            stamps = _read_only(self.timestamps)
-        except OverflowError:
-            raise ValueError("timestamps must be in [0, 2**63 - 1]") from None
+        stamps = _read_only(self.timestamps, "timestamps must be in [0, 2**63 - 1]")
         users = _check_codes("user", self.user_ids, self.users)
         items = _check_codes("item", self.item_ids, self.items)
         if not len(users) == len(items) == len(stamps):
@@ -263,17 +266,24 @@ def write_events(log: RatingLog, fh: IO[str]) -> None:
     rows = zip(log.users.tolist(), log.items.tolist(), log.timestamps.tolist())
     fh.writelines(f"{user_ids[u]}\t{item_ids[i]}\t{stamp}\n" for u, i, stamp in rows)
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Dataset:
     """Indexed, preprocessed ratings in one CSR-style layout.
 
     User u's ratings are rows ``indptr[u]`` to ``indptr[u + 1]`` of the
     (n_ratings, 2) int64 array ``ratings``, whose columns are the item
-    index and the timestamp, sorted by timestamp ascending, ties broken by
-    item index ascending.  Dense indices are assigned in sorted order of
+    index and the timestamp.  Dense indices are assigned in sorted order of
     the external identifiers, so identical inputs always produce identical
     indexing.  A training set has the same layout, restricted to non-probe
     ratings; excluded users keep an empty profile under the same index.
+
+    Raises ValueError unless the ids follow ``RatingLog``'s rules, ``indptr``
+    runs from 0 to n_ratings in n_users + 1 offsets without falling, item
+    indices lie in [0, n_items), timestamps in [0, 2**63 - 1] and each
+    profile strictly rises in (timestamp, item).  The fields are copies of
+    the arguments, the arrays read-only, so the rules hold for the life of
+    the Dataset: the build, the queries, the split and the ssnr pass trust
+    them and do not check them again.
     """
 
     user_ids: list[str]
@@ -282,8 +292,31 @@ class Dataset:
     ratings: np.ndarray
 
     def __post_init__(self) -> None:
-        self.indptr = _read_only(self.indptr)
-        self.ratings = _read_only(self.ratings, (2,))
+        object.__setattr__(self, "user_ids", list(self.user_ids))
+        object.__setattr__(self, "item_ids", list(self.item_ids))
+        _check_ids("user", self.user_ids)
+        _check_ids("item", self.item_ids)
+        offsets_rule = "indptr must run from 0 to n_ratings in n_users + 1 offsets without falling"
+        rows_rule = f"ratings must hold item indices in [0, {self.n_items}) and timestamps in [0, 2**63 - 1]"
+        indptr = _read_only(self.indptr, offsets_rule, copy=True)
+        ratings = _read_only(self.ratings, rows_rule, (2,), copy=True)
+        falls = len(indptr) != self.n_users + 1 or np.any(indptr[1:] < indptr[:-1])
+        if falls or indptr[0] != 0 or indptr[-1] != len(ratings):
+            raise ValueError(offsets_rule)
+        items, stamps = ratings[:, 0], ratings[:, 1]
+        if len(ratings) and not 0 <= items.min() <= items.max() < self.n_items:
+            raise ValueError(f"an item index lies outside [0, {self.n_items})")
+        if len(ratings) and stamps.min() < 0:
+            raise ValueError(f"timestamps must be in [0, 2**63 - 1], got {stamps.min()}")
+        rising = stamps[1:] > stamps[:-1]
+        rising |= (stamps[1:] == stamps[:-1]) & (items[1:] > items[:-1])
+        starts = indptr[(indptr > 0) & (indptr < len(ratings))]
+        rising[starts - 1] = True  # a profile's first row follows another's last
+        if not rising.all():
+            user = int(np.searchsorted(indptr, rising.argmin(), side="right")) - 1
+            raise ValueError(f"user {user}'s ratings are not strictly increasing in (timestamp, item)")
+        object.__setattr__(self, "indptr", indptr)
+        object.__setattr__(self, "ratings", ratings)
 
     @property
     def n_users(self) -> int:

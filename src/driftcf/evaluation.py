@@ -130,8 +130,10 @@ class ParamGrid:
         """Geometric grids over each family's default sweep ranges, which
         resolve the decade-spanning time scales.
 
-        Raises ValueError when ``points_per_param`` is below 1.
+        Raises ValueError for no families or ``points_per_param`` below 1.
         """
+        if not families:
+            raise ValueError("no decay family given")
         if points_per_param < 1:
             raise ValueError(f"points per parameter must be at least 1, got {points_per_param}")
         return cls({

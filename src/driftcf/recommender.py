@@ -55,28 +55,24 @@ def _check_query(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a query; returns its profile's item indices, in the model's
     index dtype, and the ages of its ratings at ``t_now``.  Raises
-    ValueError for an unknown user, an empty training profile, a profile
-    item outside the model, or a query time before one of its ratings or
-    above 2**63 - 1.
+    ValueError for an unknown user, an empty training profile, a model
+    whose item count differs from the training set's, or a query time
+    before the profile's last (latest) rating or above 2**63 - 1.
     """
     if not 0 <= user < train.n_users:
         raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
     profile = train.ratings[train.indptr[user]:train.indptr[user + 1]]
     if not len(profile):
         raise ValueError(f"user {user} has an empty training profile")
-    latest = int(profile[:, 1].max())
+    # the kernels check no bounds; Dataset keeps every item below n_items
+    if model.n_items != train.n_items:
+        raise ValueError(f"the model has {model.n_items} items, the training set {train.n_items}")
+    latest = int(profile[-1, 1])
     if t_now < latest:
         raise ValueError(f"query time {t_now} precedes a rating of user {user} at {latest}")
     if t_now > MAX_TIMESTAMP:
         raise ValueError(f"query time {t_now} exceeds 2**63 - 1")
-    prof_items = profile[:, 0]
-    # the kernels index without bounds checks
-    outside = prof_items[(prof_items < 0) | (prof_items >= model.n_items)]
-    if len(outside):
-        raise ValueError(
-            f"user {user} rated item {outside[0]}, outside the model's {model.n_items} items"
-        )
-    return prof_items.astype(model.matrix.indices.dtype), (t_now - profile[:, 1]).astype(float)
+    return profile[:, 0].astype(model.matrix.indices.dtype), (t_now - profile[:, 1]).astype(float)
 
 
 def _gather(model: SimilarityModel, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -106,30 +106,19 @@ class SimilarityModel:
 def build_similarity(train: Dataset) -> SimilarityModel:
     """Build the item-item cosine model from a training set.
 
-    Raises ValueError for an empty training set, one whose ``indptr`` does
-    not run from 0 to its rating count without falling or that rates an item
-    index outside [0, n_items), and one in which a user rates an item twice.
+    Raises ValueError for an empty training set and one in which a user
+    rates an item twice.  The kernels below check no bounds: they trust the
+    ``indptr`` and item column that ``Dataset`` checked.
     """
     if train.n_ratings == 0:
         raise ValueError("cannot build similarity model from an empty training set")
     n_users, n_items, n_ratings = train.n_users, train.n_items, train.n_ratings
-    # the kernels below index by these arrays and check no bounds
-    items = train.ratings[:, 0]
-    if (
-        len(train.indptr) != n_users + 1
-        or train.indptr[0] != 0
-        or n_ratings != len(items)
-        or np.any(np.diff(train.indptr) < 0)
-    ):
-        raise ValueError("training set's indptr does not run from 0 to its rating count without falling")
-    if np.any((items < 0) | (items >= n_items)):
-        raise ValueError(f"training set rates an item index outside [0, {n_items})")
     # R^T R - diag(counts) is the product A B of B = [R; -diag(counts)] and
     # A = [R^T | I], B's pattern transposed with ones: the diagonal sums to
     # exactly 0, which csr_matmat does not store, and every other sum is a
     # positive co-count.  R as CSR is the training set's indptr and item column.
     b_indptr = np.concatenate((train.indptr, n_ratings + np.arange(1, n_items + 1)))
-    b_indices = np.concatenate((items, np.arange(n_items)))
+    b_indices = np.concatenate((train.ratings[:, 0], np.arange(n_items)))
     a_indptr, a_indices = np.empty(n_items + 1, np.int64), np.empty_like(b_indices)
     a_data, b_data = np.ones(len(b_indices)), np.ones(len(b_indices))
     # A as CSR is B's CSC arrays: each item's raters in ascending order, then

@@ -191,22 +191,18 @@ def _segment_fit(log_x: np.ndarray, log_y: np.ndarray) -> tuple[float, float] | 
     return float(slope), float(np.dot(resid, resid))
 
 
-def fit_piecewise_trend(
-    curve: BinnedCurve,
-    ts_grid: np.ndarray = TS_GRID,
-    tl_grid: np.ndarray = TL_GRID,
-) -> TrendFit:
+def fit_piecewise_trend(curve: BinnedCurve) -> TrendFit:
     """Fit the three-phase power-law trend by exhaustive breakpoint search.
 
-    For each candidate (t_s, t_l) pair the plateau level is the mean
-    log-ssnr of the middle bins and the two decay exponents come from
-    least squares on the outer segments (slopes negated, clamped at zero
-    if positive).  Bins are assigned to segments by their geometric
-    midpoint age.  The candidate minimizing total squared log-log
-    residual wins; ties break toward smaller t_s, then smaller t_l.
-    Zero-mean bins cannot be represented in log space and are ignored, and
-    a candidate whose outer segment cannot fix a line (its bins all share
-    one midpoint) is skipped.
+    For each candidate (t_s, t_l) pair from ``TS_GRID`` and ``TL_GRID``,
+    with t_s <= t_l, the plateau level is the mean log-ssnr of the middle
+    bins and the two decay exponents come from least squares on the outer
+    segments (slopes negated, clamped at zero if positive).  Bins are
+    assigned to segments by their geometric midpoint age.  The candidate
+    minimizing total squared log-log residual wins; ties break toward
+    smaller t_s, then smaller t_l.  Zero-mean bins cannot be represented in
+    log space and are ignored, and a candidate whose outer segment cannot
+    fix a line (its bins all share one midpoint) is skipped.
     """
     usable = [b for b in curve.bins if b.mean_ssnr > 0]
     mids = np.array([math.sqrt(b.age_lo * b.age_hi) for b in usable])
@@ -215,13 +211,13 @@ def fit_piecewise_trend(
 
     # Each outer segment's fit depends on one breakpoint only, so it is
     # made once per grid value.
-    shorts = [log_x < math.log(t_s) for t_s in ts_grid]
-    longs = [log_x >= math.log(t_l) for t_l in tl_grid]
+    shorts = [log_x < math.log(t_s) for t_s in TS_GRID]
+    longs = [log_x >= math.log(t_l) for t_l in TL_GRID]
     short_fits = [_segment_fit(log_x[short], log_y[short]) for short in shorts]
     long_fits = [_segment_fit(log_x[long], log_y[long]) for long in longs]
     candidates = []
-    for t_s, short, short_fit in zip(ts_grid, shorts, short_fits):
-        for t_l, long, long_fit in zip(tl_grid, longs, long_fits):
+    for t_s, short, short_fit in zip(TS_GRID, shorts, short_fits):
+        for t_l, long, long_fit in zip(TL_GRID, longs, long_fits):
             if t_s > t_l or short_fit is None or long_fit is None:
                 continue
             plat = ~short & ~long

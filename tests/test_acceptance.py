@@ -13,9 +13,11 @@ import statistics
 import time
 from contextlib import contextmanager
 from functools import partial
+from unittest.mock import patch
 
 import pytest
 
+from driftcf import temporal
 from driftcf.cli import main
 from driftcf.dataset import preprocess
 from driftcf.decay import (
@@ -270,7 +272,8 @@ def test_trend_fit_round_trip():
         curve = BinnedCurve(tuple(bins))
         ts_grid = np.array(sorted(set(np.geomspace(100, 1e5, 20)) | {t_s}))
         tl_grid = np.array(sorted(set(np.geomspace(5e5, 5e7, 20)) | {t_l}))
-        fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
+        with patch.object(temporal, "TS_GRID", ts_grid), patch.object(temporal, "TL_GRID", tl_grid):
+            fit = fit_piecewise_trend(curve)
         step_ts = ts_grid[-1] / ts_grid[-2]
         step_tl = tl_grid[-1] / tl_grid[-2]
         assert t_s / step_ts <= fit.t_s <= t_s * step_ts

@@ -503,6 +503,8 @@ REFUSED_FLAGS = [
     (["sweep", "--table-out", "t.csv", "--grid-points", "0"],
      "points per parameter must be at least 1"),
     (["sweep", "--table-out", "t.csv", "--n", "10,10"], "depth 10 is listed twice"),
+    (["sweep", "--table-out", "t.csv", "--family", ","], "no decay family given"),
+    (["sweep", "--table-out", "t.csv", "--family", " "], "no decay family given"),
 ]
 
 

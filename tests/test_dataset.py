@@ -1,5 +1,6 @@
 """Parsing, preprocessing, and leave-the-latest-out split."""
 
+import dataclasses
 import gc
 import io
 import random
@@ -19,8 +20,12 @@ from driftcf.dataset import (
     split_leave_latest,
     write_events,
 )
+from driftcf.decay import Constant, Exponential
+from driftcf.recommender import probe_ranks
+from driftcf.similarity import build_similarity
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
-from helpers import log_triples, profile_pairs, rating_log
+from driftcf.temporal import collect_ssnr_ages
+from helpers import dataset_from_profiles, log_triples, profile_pairs, rating_log
 from oracles import parse_events_per_line, random_log
 
 
@@ -436,19 +441,21 @@ class TestColumnarLayout:
         ds = Dataset(["u1", "u2"], ["a"], indptr, ratings)
         log = RatingLog(["u1", "u2"], ["a"], users, items, stamps)
         pairs = (
-            (indptr, ds.indptr), (ratings, ds.ratings),
-            (users, log.users), (items, log.items), (stamps, log.timestamps),
+            (indptr, ds.indptr, False), (ratings, ds.ratings, False),
+            (users, log.users, True), (items, log.items, True), (stamps, log.timestamps, True),
         )
-        for given_array, stored in pairs:
-            # the stored array is a view, not a copy
-            assert np.shares_memory(given_array, stored)
+        for given_array, stored, shared in pairs:
+            # a RatingLog stores a view; a Dataset stores a copy, because
+            # the bounds-free kernels trust the layout it checked
+            assert np.shares_memory(given_array, stored) == shared
             assert given_array.flags.writeable
             assert not stored.flags.writeable
             with pytest.raises(ValueError):
                 stored[0] = 0
 
     def test_content_hash_reads_ids_offsets_and_rows(self):
-        ds = preprocess(log_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4)))
+        # rows in time order across users, so any offsets keep each profile sorted
+        ds = preprocess(log_of(("u1", "a", 1), ("u1", "b", 2), ("u2", "a", 3), ("u2", "b", 4)))
         moved = ds.ratings.copy()
         moved[-1, 1] += 1
         variants = [
@@ -459,3 +466,170 @@ class TestColumnarLayout:
         digests = {ds.content_hash()} | {v.content_hash() for v in variants}
         assert len(digests) == 4
         assert Dataset(ds.user_ids, ds.item_ids, ds.indptr, ds.ratings).content_hash() == ds.content_hash()
+
+
+class TestLayoutRules:
+    """``Dataset`` checks its own layout, so the build, the split, the ssnr
+    pass and the scoring queries need not."""
+
+    @pytest.mark.parametrize(
+        "indptr, items, message",
+        [
+            ([0, 2, 4], [0, 1, 0, 40_000_000], "outside"),
+            ([0, 2, 4], [0, 1, -1, 1], "outside"),
+            ([0, 3, 2, 4], [0, 1, 0, 1], "indptr"),
+            ([1, 2, 4], [0, 1, 0, 1], "indptr"),
+            ([0, 2, 3], [0, 1, 0, 1], "indptr"),
+            ([0, 4], [0, 1, 0, 1], "indptr"),
+        ],
+    )
+    def test_inconsistent_arrays_rejected(self, indptr, items, message):
+        # the build's kernels check no bounds: each of these used to crash
+        # or read past an array
+        n_users = 3 if len(indptr) == 4 else 2
+        ratings = np.stack([np.array(items), np.arange(len(items))], axis=1)
+        with pytest.raises(ValueError, match=message):
+            Dataset(list("abc")[:n_users], ["x", "y"], np.array(indptr), ratings)
+
+    def test_newest_first_profile_rejected(self):
+        # stored newest-first, the split would probe the oldest rating and
+        # the ssnr pass would read ages of -200 and -100 s
+        with pytest.raises(ValueError, match="user 0's ratings are not strictly increasing"):
+            dataset_from_profiles(["a", "b"], ["x", "y", "z"], [[(0, 300), (1, 200), (2, 100)], [(0, 1), (1, 2)]])
+
+    @pytest.mark.parametrize("profile", [[(1, 5), (0, 5)], [(0, 5), (0, 5)], [(0, 6), (1, 5)]])
+    def test_time_ties_must_rise_in_item(self, profile):
+        with pytest.raises(ValueError, match="user 1's ratings are not strictly increasing"):
+            dataset_from_profiles(["a", "b"], ["x", "y"], [[(0, 1)], profile])
+
+    def test_negative_timestamp_rejected(self):
+        with pytest.raises(ValueError, match=r"timestamps must be in \[0, 2\*\*63 - 1\], got -1"):
+            dataset_from_profiles(["a"], ["x", "y"], [[(0, -1), (1, 2)]])
+
+    @pytest.mark.parametrize(
+        "indptr, row, message",
+        [
+            ([0, 2**64], [0, 1], "indptr must run from 0"),
+            ([0, 1], [0, 2**63], r"timestamps in \[0, 2\*\*63 - 1\]"),
+            ([0, 1], [2**64, 1], r"item indices in \[0, 1\)"),
+        ],
+    )
+    def test_values_past_int64_rejected(self, indptr, row, message):
+        with pytest.raises(ValueError, match=message):
+            Dataset(["a"], ["x"], indptr, [row])
+
+    def test_later_changes_to_the_arguments_cannot_reach_the_kernels(self):
+        user_ids, item_ids = ["a", "b", "c"], ["x", "y", "z"]
+        indptr = np.array([0, 2, 4, 6])
+        ratings = np.array([[0, 1], [1, 2], [0, 3], [1, 4], [1, 5], [2, 6]])
+        ds = Dataset(user_ids, item_ids, indptr, ratings)
+        before = ds.content_hash()
+        # each of these would send the bounds-free kernels past an array
+        ratings[0, 0] = 10**9
+        indptr[-1] = 10**9
+        item_ids.pop()
+        user_ids.pop()
+        assert ds.content_hash() == before
+        assert (ds.n_users, ds.n_items, ds.n_ratings) == (3, 3, 6)
+        model = build_similarity(ds)
+        assert model.n_items == 3
+        assert probe_ranks(ds, model, 0, 10, 2, [Constant()]).tolist() == [1]
+
+    @pytest.mark.parametrize(
+        "user_ids, item_ids, message",
+        [
+            (["a", ""], ["x"], "non-empty"),
+            (["b", "a"], ["x"], "user ids must be strictly increasing"),
+            (["a", "a"], ["x"], "user ids must be strictly increasing"),
+            (["a", "b"], ["y", "x"], "item ids must be strictly increasing"),
+        ],
+    )
+    def test_ids_follow_the_rating_log_rules(self, user_ids, item_ids, message):
+        with pytest.raises(ValueError, match=message):
+            dataset_from_profiles(user_ids, item_ids, [[(0, 1)], [(0, 2)]])
+
+    def test_empty_profiles_at_either_end_accepted(self):
+        ds = dataset_from_profiles(list("abcd"), ["x", "y"], [[], [(1, 3), (0, 4)], [(0, 1)], []])
+        assert ds.indptr.tolist() == [0, 0, 2, 3, 3]
+
+    def test_fields_are_frozen(self):
+        ds = dataset_from_profiles(["a"], ["x"], [[(0, 1)]])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.ratings = np.zeros((0, 2), dtype=np.int64)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            ds.user_ids = ["b"]
+
+
+def layout_is_valid(user_ids, item_ids, indptr, rows) -> bool:
+    """``Dataset``'s layout rules, one Python check at a time."""
+    for ids in (user_ids, item_ids):
+        if not all(ids) or any(a >= b for a, b in zip(ids, ids[1:])):
+            return False
+    if len(indptr) != len(user_ids) + 1 or indptr[0] != 0 or indptr[-1] != len(rows):
+        return False
+    if any(lo > hi for lo, hi in zip(indptr, indptr[1:])):
+        return False
+    if any(not 0 <= i < len(item_ids) or t < 0 for i, t in rows):
+        return False
+    keys = [(t, i) for i, t in rows]
+    return all(keys[k] < keys[k + 1] for lo, hi in zip(indptr, indptr[1:]) for k in range(lo, hi - 1))
+
+
+@st.composite
+def small_layouts(draw):
+    """Ids, offsets and (item, timestamp) rows, each part valid four times
+    in five and otherwise drawn without regard to ``Dataset``'s rules."""
+    broken = st.integers(0, 4).map(lambda k: k == 4)
+    names = st.lists(st.sampled_from(["", "a", "b", "c", "d", "e"]), min_size=3, max_size=6)
+    user_ids, item_ids = draw(names), draw(names)
+    if not draw(broken):
+        user_ids, item_ids = sorted(set(user_ids) - {""}), sorted(set(item_ids) - {""})
+    lo, hi = (-1, len(item_ids)) if draw(broken) else (0, len(item_ids) - 1)
+    row = st.tuples(st.integers(lo, hi), st.integers(-1 if draw(broken) else 0, 6))
+    min_len = 0 if draw(broken) else 2
+    profiles = [draw(st.lists(row, min_size=min_len, max_size=5)) if hi >= lo else [] for _u in user_ids]
+    if not draw(broken):
+        profiles = [sorted(set(p), key=lambda r: (r[1], r[0])) for p in profiles]
+    if not draw(broken):
+        # each item once per profile, at its earliest time
+        profiles = [[r for k, r in enumerate(p) if r[0] not in {q[0] for q in p[:k]}] for p in profiles]
+    indptr = np.cumsum([0] + [len(p) for p in profiles]).tolist()
+    if draw(broken):
+        indptr = draw(st.lists(st.integers(-1, 9), max_size=6))
+    return user_ids, item_ids, indptr, [r for p in profiles for r in p]
+
+
+class TestLayoutProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(small_layouts())
+    def test_a_built_dataset_runs_through_split_build_scoring_and_ssnr(self, layout):
+        user_ids, item_ids, indptr, rows = layout
+        valid = layout_is_valid(*layout)
+        try:
+            ratings = np.array(rows, dtype=np.int64).reshape(-1, 2)
+            ds = Dataset(user_ids, item_ids, np.array(indptr, dtype=np.int64), ratings)
+        except ValueError:
+            assert not valid
+            return
+        assert valid
+        train, probes = split_leave_latest(ds)
+        for u, probe in probes.probes.items():
+            assert probe == tuple(ds.profiles[u][-1].tolist())
+            assert probe[1] == ds.profiles[u][:, 1].max()
+        # a user rating an item twice: in training the build refuses it, and
+        # across the probe the ssnr pass does
+        repeats = any(len(set(p[:, 0].tolist())) < len(p) for p in ds.profiles)
+        if not train.n_ratings:
+            assert not probes.probes
+            return
+        try:
+            model = build_similarity(train)
+            for u, (item, t_now) in probes.probes.items():
+                for specs in ([Constant()], [Constant(), Exponential(5e4)]):
+                    probe_ranks(train, model, u, t_now, item, specs)
+            samples, _excluded = collect_ssnr_ages(train, probes, model)
+        except ValueError as exc:
+            assert repeats and ("twice" in str(exc) or "probe item itself" in str(exc))
+            return
+        assert not repeats
+        assert np.all(samples.ages >= 0)

@@ -85,7 +85,7 @@ class TestScoreItems:
         dense[1, 2] = dense[2, 1] = 0.5
         model = model_from_dense(dense)
         t_now = 1_000_000
-        train = train_with_profiles(3, [[(0, t_now), (1, t_now - 172800)]])
+        train = train_with_profiles(3, [[(1, t_now - 172800), (0, t_now)]])
         sv = score_items(train, model, 0, t_now, Outraday(1.0))
         assert scores_dict(sv)[2] == pytest.approx(0.75, abs=1e-15)
 
@@ -548,13 +548,14 @@ class TestKernelScoring:
 
     @pytest.mark.parametrize("item", [3, 7])
     def test_profile_item_outside_the_model_rejected_before_any_kernel(self, monkeypatch, item):
-        # a model built for three items, a training set with more
+        # a model with fewer items than the training set: the kernels, which
+        # check no bounds, would read past its rows
         dense = np.zeros((3, 3))
         dense[0, 1] = dense[1, 0] = 0.4
         model = model_from_dense(dense)
         train = train_with_profiles(8, [[(0, 100), (item, 200)]])
         monkeypatch.setattr(recommender, "_sparsetools", None)
-        message = f"user 0 rated item {item}, outside the model's 3 items"
+        message = "the model has 3 items, the training set 8"
         with pytest.raises(ValueError, match=message):
             score_items(train, model, 0, 500, Constant())
         with pytest.raises(ValueError, match=message):

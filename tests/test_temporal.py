@@ -3,6 +3,7 @@
 import math
 import random
 import statistics
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import scipy.sparse as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftcf import temporal
 from driftcf.dataset import ProbeSet
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
@@ -348,6 +350,12 @@ def synthetic_curve(t_s, t_l, k_s, k_l, level, age_lo=10.0, age_hi=1e9, per_deca
     return BinnedCurve(tuple(bins))
 
 
+def fit_on_grids(curve, ts_grid, tl_grid):
+    """``fit_piecewise_trend`` with its breakpoint grids patched to these."""
+    with patch.object(temporal, "TS_GRID", ts_grid), patch.object(temporal, "TL_GRID", tl_grid):
+        return fit_piecewise_trend(curve)
+
+
 class TestTrendFit:
     def test_round_trip_exact_recovery(self):
         t_s, t_l, k_s, k_l, level = 5e4, 1e6, 0.6, 0.3, 1.0
@@ -355,7 +363,7 @@ class TestTrendFit:
         ts_grid = np.geomspace(100, 1e5, 13)  # contains 5e4? use explicit grid
         ts_grid = np.array(sorted(set(ts_grid) | {t_s}))
         tl_grid = np.array(sorted(set(np.geomspace(5e5, 5e7, 13)) | {t_l}))
-        fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
+        fit = fit_on_grids(curve, ts_grid, tl_grid)
         assert fit.t_s == pytest.approx(t_s)
         assert fit.t_l == pytest.approx(t_l)
         assert fit.k_s == pytest.approx(k_s, abs=1e-9)
@@ -408,11 +416,11 @@ class TestTrendFit:
         doubling = tuple(CurveBin(1e5 * 2**k, 2e5 * 2**k, 0.3, 3) for k in range(14))
         curve = BinnedCurve(lo_bins + doubling)
         ts_grid, tl_grid = np.geomspace(10.0, 1e6, 11), np.geomspace(1e5, 1e9, 9)
-        fit = fit_piecewise_trend(curve, ts_grid, tl_grid)
+        fit = fit_on_grids(curve, ts_grid, tl_grid)
         assert fit == TrendFit(*fit_trend_grid_loop(curve, ts_grid, tl_grid))
         assert fit.t_s > 2e5  # the short segment reaches the doubling bins
         with pytest.raises(TrendFitError):
-            fit_piecewise_trend(curve, ts_grid[:5], tl_grid)
+            fit_on_grids(curve, ts_grid[:5], tl_grid)
 
     def test_zero_mean_bins_ignored(self):
         base = synthetic_curve(5e4, 1e6, 0.6, 0.3, 1.0)
@@ -448,9 +456,9 @@ class TestMemoisedTrendFit:
         expected = fit_trend_grid_loop(curve, ts_grid, tl_grid)
         if expected is None:
             with pytest.raises(TrendFitError):
-                fit_piecewise_trend(curve, ts_grid, tl_grid)
+                fit_on_grids(curve, ts_grid, tl_grid)
         else:
-            assert fit_piecewise_trend(curve, ts_grid, tl_grid) == TrendFit(*expected)
+            assert fit_on_grids(curve, ts_grid, tl_grid) == TrendFit(*expected)
 
     def test_default_grid_equals_unmemoised_grid_loop(self):
         curve = synthetic_curve(1e4, 1e6, 0.5, 0.4, 0.02)
