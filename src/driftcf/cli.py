@@ -312,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", default="10,20,50", help="search depths; the first is the objective")
     p.add_argument("--table-out", required=True, help="full results CSV path")
     p.add_argument("--best-out", help="optional best-parameters JSON path")
-    # deprecated and ignored: sweeps run in one thread
+    # deprecated and ignored: the build and the scoring split their work over
+    # every CPU the process may run on
     p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_sweep)
 

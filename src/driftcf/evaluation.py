@@ -3,7 +3,10 @@
 Each user's held-out latest rating is the probe; its timestamp is the
 moment the recommendation is made.  The split and the similarity model
 are built once and shared by all users and all sweep points; one pass
-over the users scores every sweep point.  Hit-rate at search depth N is
+over the users scores every sweep point.  The users are dealt out round
+robin to one thread per CPU the process may run on; each thread counts its
+own hits and the counts are added at the end, so the reports do not depend
+on the thread count.  Hit-rate at search depth N is
 
     H@N = (1 / |U_eval|) * sum over users of h(probe, N) / N,
 
@@ -23,7 +26,7 @@ import numpy as np
 from .dataset import Dataset, ProbeSet, split_leave_latest
 from .decay import FAMILIES, DecaySpec, family_class, format_decay, sweep_ranges
 from .recommender import probe_ranks
-from .similarity import SimilarityModel, build_similarity
+from .similarity import SimilarityModel, _in_threads, build_similarity
 
 
 @dataclass(frozen=True)
@@ -81,11 +84,17 @@ def _evaluate_specs(
     if not users:
         raise ValueError("no evaluable users: every profile has fewer than 2 ratings")
     depth_col = np.array(depths)[:, None]
-    hits = np.zeros((len(depths), len(specs)), dtype=np.int64)
-    for u in users:
-        probe_item, probe_time = probes.probes[u]
-        ranks = probe_ranks(train, model, u, probe_time, probe_item, specs)
-        hits += (ranks > 0) & (ranks <= depth_col)
+
+    def count_hits(share: Iterator[int]) -> np.ndarray:
+        hits = np.zeros((len(depths), len(specs)), dtype=np.int64)
+        for k in share:
+            u = users[k]
+            probe_item, probe_time = probes.probes[u]
+            ranks = probe_ranks(train, model, u, probe_time, probe_item, specs)
+            hits += (ranks > 0) & (ranks <= depth_col)
+        return hits
+
+    hits = sum(_in_threads(len(users), count_hits))
     count = len(users)
     return [
         EvalReport(format_decay(spec), count, [

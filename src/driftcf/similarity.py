@@ -14,9 +14,13 @@ set's own ``indptr`` and item column.  scipy's compiled ``_sparsetools``
 kernels form it a block of item rows at a time: the rater counts are
 subtracted from the diagonal inside the product, so it is never stored,
 and each block is sorted by two counting transposes, scaled to cosines
-and written straight into the model's arrays, which one symbolic pass
-sized beforehand.  A block holds at most ``BLOCK_ENTRIES`` entries, or
-n_items if that is larger, so a build holds the model plus one block, and
+and written straight into the model's arrays, at the offset that a
+symbolic pass over every block fixed beforehand.  The blocks are spread
+over one thread per CPU the process may run on (``_in_threads``), each
+with scratch buffers of its own; every entry gets the same arithmetic
+whichever thread forms it, so the model does not depend on the thread
+count.  A block holds at most ``BLOCK_ENTRIES`` entries, or n_items if
+that is larger, so a build holds the model plus one block per thread, and
 the blocks' fixed O(n_items) costs stay within the product's own cost.
 The finished model is immutable and safe for concurrent reads.  Its binary
 cache stores each pair once, in the strict upper triangle U; a load returns
@@ -25,9 +29,13 @@ U + U^T, so the loaded model is symmetric by construction.
 
 from __future__ import annotations
 
+import itertools
+import os
 import struct
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable, Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -55,6 +63,65 @@ MAX_SIMILARITY = 1 + 4 * 2.0**-52
 # entries are bounded by this many (or by the item count, if larger).
 BLOCK_ENTRIES = 2**15
 
+# row_sq_sums squares at most this many entries at a time (or one row, if
+# longer), so its temporary stays small however large the model.
+SQ_SUM_ENTRIES = 2**20
+
+
+def _cpu_count() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity on this platform
+        return os.cpu_count() or 1
+
+
+def _in_threads(n_tasks: int, share: Callable[[Iterator[int]], object]) -> list:
+    """Run tasks 0 .. n_tasks - 1 on T = min(CPUs, n_tasks) threads, the
+    calling one among them; returns the T results of ``share`` in order.
+
+    ``share`` is called once per thread k with an iterator over the tasks
+    k, k + T, k + 2T, ...; it does those tasks and returns what the caller
+    combines.  Once any share raises, or an interrupt arrives, every
+    iterator stops before its next task; the first error is raised after
+    every thread has ended.
+    """
+    n = max(1, min(_cpu_count(), n_tasks))
+    stop = threading.Event()
+    results = [None] * n
+    errors: list[BaseException] = []
+
+    def tasks(k: int) -> Iterator[int]:
+        for task in range(k, n_tasks, n):
+            if stop.is_set():
+                return
+            yield task
+
+    def run(k: int) -> None:
+        try:
+            results[k] = share(tasks(k))
+        except BaseException as exc:  # re-raised below, in the calling thread
+            errors.append(exc)
+            stop.set()
+
+    started: list[threading.Thread] = []
+    try:
+        for k in range(1, n):
+            thread = threading.Thread(target=run, args=(k,))
+            thread.start()
+            started.append(thread)
+        run(0)
+        for thread in started:
+            thread.join()
+    except BaseException:  # an interrupt while starting or joining
+        stop.set()
+        for thread in started:
+            thread.join()
+        raise
+    if errors:
+        raise errors[0]
+    return results
+
 
 class CacheFormatError(ValueError):
     """Raised when a similarity cache file is malformed."""
@@ -79,11 +146,22 @@ class SimilarityModel:
     def row_sq_sums(self) -> np.ndarray:
         """Each row's sum of squared entries in stored order, computed on the
         first read (racing first reads compute equal arrays); exactly 0 for an
-        empty row, where reduceat alone gives the next row's first."""
+        empty row, where reduceat alone gives the next row's first.  Whole
+        rows are squared ``SQ_SUM_ENTRIES`` entries at a time, and each row
+        is summed by one reduceat segment, as over the whole array at once."""
         m = self.matrix
+        indptr = m.indptr
         sums = np.zeros(m.shape[0])
-        nonempty = np.diff(m.indptr) > 0
-        sums[nonempty] = np.add.reduceat(m.data * m.data, m.indptr[:-1][nonempty])
+        lo = 0
+        while lo < m.shape[0]:
+            # rows lo .. hi - 1 hold at most SQ_SUM_ENTRIES entries, or are one row
+            start = int(indptr[lo])
+            hi = max(int(np.searchsorted(indptr, start + SQ_SUM_ENTRIES, side="right")) - 1, lo + 1)
+            rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
+            if len(rows):
+                chunk = m.data[start:indptr[hi]]
+                sums[rows] = np.add.reduceat(chunk * chunk, indptr[rows] - start)
+            lo = hi
         return sums
 
     @property
@@ -127,16 +205,22 @@ def build_similarity(train: Dataset) -> SimilarityModel:
         n_users + n_items, n_items, b_indptr, b_indices, b_data, a_indptr, a_indices, a_data
     )
     # a repeated rating would leave a diagonal sum that is not 0, stored past
-    # the entry count below; equal neighbours in A can only be one
+    # its block's entry count below; equal neighbours in A can only be one
     if np.any(a_indices[1:] == a_indices[:-1]):
         raise ValueError("training set holds one user's rating of an item twice")
     counts = np.diff(a_indptr) - 1
     b_data[n_ratings:] = -counts
-    # the symbolic count includes every diagonal entry
-    nnz = _sparsetools.csr_matmat_maxnnz(
-        n_items, n_items, a_indptr, a_indices, b_indptr, b_indices
-    ) - n_items
-    cuts, size = _row_blocks(a_indptr, a_indices, b_indptr)
+    cuts = _row_blocks(a_indptr, a_indices, b_indptr)
+    # each block's entries, from a symbolic count that includes every
+    # diagonal entry; their running sum places each block in the model
+    sizes = [
+        _sparsetools.csr_matmat_maxnnz(
+            hi - lo, n_items, a_indptr[lo:hi + 1], a_indices, b_indptr, b_indices
+        ) - (hi - lo)
+        for lo, hi in zip(cuts, cuts[1:])
+    ]
+    offsets = list(itertools.accumulate(sizes, initial=0))
+    nnz = offsets[-1]
     # one index dtype holds every index array, the model's included, as the
     # kernels take one and do no bounds checks
     idx = np.int64 if max(nnz, len(b_indices), n_users + n_items) >= 2**31 else np.int32
@@ -145,37 +229,39 @@ def build_similarity(train: Dataset) -> SimilarityModel:
     )
     inv_sqrt = np.divide(1.0, np.sqrt(counts), out=np.zeros(n_items), where=counts > 0)
     indptr, indices, data = np.zeros(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    max_rows, max_entries = max(np.diff(cuts)), max(sizes)
 
-    # a block's product rows and their transpose
-    bp, bj, bx = np.empty(max(np.diff(cuts)) + 1, idx), np.empty(size, idx), np.empty(size)
-    tp, tj, tx = np.empty(n_items + 1, idx), np.empty_like(bj), np.empty_like(bx)
-    for lo, hi in zip(cuts, cuts[1:]):
-        _sparsetools.csr_matmat(
-            hi - lo, n_items, a_indptr[lo:hi + 1], a_indices, a_data,
-            b_indptr, b_indices, b_data, bp, bj, bx,
-        )
-        start, end = indptr[lo], indptr[lo] + bp[hi - lo]
-        j, s = indices[start:end], data[start:end]
-        # transposing twice sorts every row's columns; the second writes the
-        # block's rows into the model's arrays
-        _sparsetools.csr_tocsc(hi - lo, n_items, bp, bj, bx, tp, tj, tx)
-        _sparsetools.csr_tocsc(n_items, hi - lo, tp, tj, tx, bp, j, s)
-        indptr[lo + 1:hi + 1] = start + bp[1:hi - lo + 1]
-        # s_ij = c_ij * (1/sqrt(n_j) * 1/sqrt(n_i)): the two scale factors
-        # first, so s_ij == s_ji bit for bit; tx is free to hold them
-        f = np.take(inv_sqrt, j, out=tx[:len(j)], mode="clip")
-        _sparsetools.csr_scale_rows(hi - lo, n_items, bp, j, f, inv_sqrt[lo:hi])
-        s *= f
+    def fill(blocks: Iterator[int]) -> None:
+        # this thread's block of product rows and their transpose
+        bp, bj = np.empty(max_rows + 1, idx), np.empty(max_entries, idx)
+        bx = np.empty(max_entries)
+        tp, tj, tx = np.empty(n_items + 1, idx), np.empty_like(bj), np.empty_like(bx)
+        for b in blocks:
+            lo, hi, start, end = cuts[b], cuts[b + 1], offsets[b], offsets[b + 1]
+            _sparsetools.csr_matmat(
+                hi - lo, n_items, a_indptr[lo:hi + 1], a_indices, a_data,
+                b_indptr, b_indices, b_data, bp, bj, bx,
+            )
+            j, s = indices[start:end], data[start:end]
+            # transposing twice sorts every row's columns; the second writes
+            # the block's rows into the model's arrays
+            _sparsetools.csr_tocsc(hi - lo, n_items, bp, bj, bx, tp, tj, tx)
+            _sparsetools.csr_tocsc(n_items, hi - lo, tp, tj, tx, bp, j, s)
+            indptr[lo + 1:hi + 1] = start + bp[1:hi - lo + 1]
+            # s_ij = c_ij * (1/sqrt(n_j) * 1/sqrt(n_i)): the two scale factors
+            # first, so s_ij == s_ji bit for bit; tx is free to hold them
+            f = np.take(inv_sqrt, j, out=tx[:len(j)], mode="clip")
+            _sparsetools.csr_scale_rows(hi - lo, n_items, bp, j, f, inv_sqrt[lo:hi])
+            s *= f
+
+    _in_threads(len(cuts) - 1, fill)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
     return SimilarityModel(matrix, counts)
 
 
-def _row_blocks(
-    a_indptr: np.ndarray, a_indices: np.ndarray, b_indptr: np.ndarray
-) -> tuple[list[int], int]:
+def _row_blocks(a_indptr: np.ndarray, a_indices: np.ndarray, b_indptr: np.ndarray) -> list[int]:
     """Cut the rows of the product A B into blocks for build_similarity;
-    returns the cut points (0 first, the item count last) and an entry count
-    that bounds every block's product.
+    returns the cut points, 0 first and the item count last.
 
     Row i of the product holds at most n_items entries, and at most one per
     entry of the B rows it sums (its raters' profiles and its own row).
@@ -192,7 +278,7 @@ def _row_blocks(
         done = ends[cuts[-1] - 1] if cuts[-1] else 0
         # every bound is at most the budget, so each block takes a row
         cuts.append(int(np.searchsorted(ends, done + budget, side="right")))
-    return cuts, min(budget, int(ends[-1]))
+    return cuts
 
 
 def save_cache(model: SimilarityModel, path: str, dataset_hash: str) -> None:

@@ -158,13 +158,18 @@ def collect_ssnr_ages(
 def log_bin_average(samples: SsnrSamples) -> BinnedCurve:
     """Average ssnr over geometric age bins [BIN_RATIO^k, BIN_RATIO^(k+1)).
 
-    Ages below 1 s (including zero) are clamped into bin 0.  Ages are
-    compared with the bin edges as integers, so binning is exact over the
-    whole int64 range.  Returns empty-bin-free bins in age order; no
-    samples yield an empty curve.  Each bin's sum adds its samples in input
-    order; a ValueError is raised when a sum is not finite.
+    Age 0 is clamped into bin 0, [1, BIN_RATIO).  Ages are compared with
+    the bin edges as integers, so binning is exact over the whole int64
+    range.  Returns empty-bin-free bins in age order; no samples yield an
+    empty curve.  Each bin's sum adds its samples in input order.  A
+    ValueError is raised for a negative age, or when a sum is not finite.
     """
-    ages = np.maximum(samples.ages, 0).astype(np.uint64)
+    negative = np.flatnonzero(samples.ages < 0)
+    if len(negative):
+        raise ValueError(
+            f"{len(negative)} negative ssnr age(s), the first {samples.ages[negative[0]]}"
+        )
+    ages = samples.ages.astype(np.uint64)
     index = np.maximum(np.searchsorted(_BIN_EDGES, ages, side="right") - 1, 0)
     ks, slot = np.unique(index, return_inverse=True)
     sums = np.bincount(slot, weights=samples.ssnr, minlength=len(ks))

@@ -1,12 +1,17 @@
-"""Hit-rate, the leave-the-latest-out harness, and grid sweeps."""
+"""Hit-rate, the leave-the-latest-out harness, grid sweeps, and the thread
+split of the build and the scoring."""
 
 import random
+import threading
+import time
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from driftcf import evaluation, similarity
 from driftcf.dataset import preprocess
 from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_decay
 from driftcf.evaluation import (
@@ -16,7 +21,8 @@ from driftcf.evaluation import (
     grid_sweep,
     prepare_evaluation,
 )
-from driftcf.recommender import SPEC_CHUNK
+from driftcf.recommender import SPEC_CHUNK, probe_ranks
+from driftcf.similarity import _in_threads, build_similarity
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import evaluate, rating_log
 from oracles import hit_rate, pipeline_hits, random_dataset, random_train
@@ -335,3 +341,85 @@ class TestGridSweep:
             report = evaluate_split(train, probes, model, row["spec"])
             assert row["hits"] == {r.n: r.hits for r in report.results}
         assert len({tuple(row["hits"].values()) for row in result.rows}) > 1
+
+
+def model_arrays(model) -> tuple[bytes, ...]:
+    m = model.matrix
+    return tuple(a.tobytes() for a in (m.indptr, m.indices, m.data, model.user_counts))
+
+
+class TestThreads:
+    """The build's row blocks and the scoring's users are dealt out to one
+    thread per CPU; ``similarity._cpu_count`` is patched to set the count."""
+
+    @pytest.mark.parametrize("cpus, n_tasks, shares", [
+        (1, 3, [[0, 1, 2]]),
+        (3, 7, [[0, 3, 6], [1, 4], [2, 5]]),
+        (3, 2, [[0], [1]]),
+        (2, 0, [[]]),
+    ])
+    def test_tasks_dealt_round_robin_over_at_most_the_tasks(self, cpus, n_tasks, shares):
+        with patch.object(similarity, "_cpu_count", lambda: cpus):
+            assert _in_threads(n_tasks, list) == shares
+
+    def test_outputs_do_not_depend_on_thread_count(self):
+        seen = {"fewer users than threads": 0, "more users than threads": 0, "several blocks": 0}
+        specs = [Constant(), parse_decay("exp:Te=2e5")]
+        grid = ParamGrid.default(points_per_param=2)
+        matmat = similarity._sparsetools.csr_matmat
+
+        @settings(max_examples=100, deadline=None)
+        @given(seed=st.integers(0, 2**32))
+        def check(seed):
+            dataset, train, probes = random_train(random.Random(seed))
+            outputs = []
+            for cpus in (1, 2, 3):
+                blocks = []
+
+                def counted(n_row, *args):
+                    blocks.append(n_row)
+                    return matmat(n_row, *args)
+
+                # blocks cut at n_items entries, the least a block may take
+                with patch.object(similarity, "_cpu_count", lambda: cpus), \
+                        patch.object(similarity, "BLOCK_ENTRIES", 1), \
+                        patch.object(similarity._sparsetools, "csr_matmat", counted):
+                    model = build_similarity(train)
+                    reports = [evaluate_split(train, probes, model, spec) for spec in specs]
+                    sweep = grid_sweep(dataset, grid)
+                outputs.append((model_arrays(model), reports, sweep.rows, sweep.best_row))
+            assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+            users = len(probes.evaluated_users)
+            seen["fewer users than threads"] += users < 3
+            seen["more users than threads"] += users > 3
+            seen["several blocks"] += len(blocks) > 3
+
+        check()
+        assert all(seen.values()), seen
+
+    @pytest.mark.parametrize("error", [ValueError("planted"), KeyboardInterrupt()])
+    def test_first_error_raised_and_no_thread_left(self, error):
+        ds = preprocess(generate_synthetic(SyntheticConfig(
+            users=40, items=100, events=1200, topics=6, seed=8,
+        )))
+        train, probes, model = prepare_evaluation(ds)
+        users = probes.evaluated_users
+        scored = []
+
+        def failing(train, model, user, *args):
+            # the calling thread's first user; every other takes 10 ms
+            if user == users[0]:
+                raise error
+            scored.append(user)
+            time.sleep(0.01)
+            return probe_ranks(train, model, user, *args)
+
+        before = threading.active_count()
+        with patch.object(similarity, "_cpu_count", lambda: 3), \
+                patch.object(evaluation, "probe_ranks", failing):
+            with pytest.raises(type(error)) as caught:
+                evaluate_split(train, probes, model, Constant())
+        assert caught.value is error
+        assert threading.active_count() == before
+        # the other threads stopped at their next user, far short of all
+        assert len(scored) < len(users) // 2, scored

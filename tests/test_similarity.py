@@ -4,11 +4,12 @@ import math
 import random
 import struct
 import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from driftcf import similarity
@@ -274,6 +275,28 @@ class TestRowSqSums:
         got = SimilarityModel(matrix, np.zeros(matrix.shape[0], dtype=np.int64)).row_sq_sums
         assert got.tobytes() == old_row_sq_sums(matrix).tobytes()
         assert np.all(got[np.diff(matrix.indptr) == 0] == 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(0, 12), min_size=1, max_size=12),
+        chunk=st.integers(1, 8),
+        seed=st.integers(0, 2**32),
+    )
+    @example(lengths=[0, 3, 0, 9, 2, 0], chunk=4, seed=0)
+    def test_chunked_sums_match_one_shot_form_bit_for_bit(self, lengths, chunk, seed):
+        # rows of random lengths, empty ones and ones longer than the chunk
+        # among them, summed SQ_SUM_ENTRIES = chunk entries at a time
+        rng = np.random.default_rng(seed)
+        indptr = np.concatenate(([0], np.cumsum(lengths)))
+        n = len(lengths)
+        indices = np.concatenate([np.sort(rng.choice(12, k, replace=False)) for k in lengths])
+        matrix = sp.csr_matrix((rng.random(indptr[-1]), indices.astype(np.int32), indptr), shape=(n, 12))
+        nonempty = np.diff(indptr) > 0
+        one_shot = np.zeros(n)
+        one_shot[nonempty] = np.add.reduceat(matrix.data * matrix.data, indptr[:-1][nonempty])
+        with patch.object(similarity, "SQ_SUM_ENTRIES", chunk):
+            got = SimilarityModel(matrix, np.zeros(n, dtype=np.int64)).row_sq_sums
+        assert got.tobytes() == one_shot.tobytes()
 
     def test_built_and_loaded_models_match_old_form_bit_for_bit(self, tmp_path):
         rng = random.Random(2024)

@@ -18,6 +18,7 @@ from driftcf.temporal import (
     BIN_RATIO,
     BinnedCurve,
     CurveBin,
+    SsnrSamples,
     TrendFit,
     TrendFitError,
     collect_ssnr_ages,
@@ -305,6 +306,14 @@ class TestLogBinAverage:
         samples = [SampleRow(10 * k + 1, 1.0) for k in range(50)]
         assert log_bin_average(ssnr_samples(samples)).total_count == 50
 
+    def test_negative_ages_rejected(self):
+        samples = SsnrSamples(np.array([-200, -100]), np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=r"^2 negative ssnr age\(s\), the first -200$"):
+            log_bin_average(samples)
+        # age 0 alone is clamped into bin 0
+        curve = log_bin_average(SsnrSamples(np.array([0, 1]), np.array([0.1, 0.3])))
+        assert [(b.age_lo, b.count) for b in curve.bins] == [(1.0, 2)]
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(-(2**63), 2**63 - 1), st.floats(0, allow_infinity=False))))
     @example([(0, 0.0), (2**63 - 1, 0.0)])
@@ -312,13 +321,18 @@ class TestLogBinAverage:
     def test_every_bin_is_well_formed(self, pairs):
         # the trend fit reads each bin at sqrt(age_lo * age_hi) and log(mean_ssnr)
         samples = ssnr_samples(pairs)
+        negative = [age for age, _ssnr in pairs if age < 0]
         try:
             curve = log_bin_average(samples)
         except ValueError as exc:
+            if negative:
+                assert str(exc) == f"{len(negative)} negative ssnr age(s), the first {negative[0]}"
+                return
             # only when a bin's sum overflows, which the sum of all samples then does
             assert "ssnr sum is not finite" in str(exc)
             assert math.isinf(sum(ssnr for _age, ssnr in pairs))
             return
+        assert not negative
         assert curve.total_count == len(pairs)
         for b in curve.bins:
             assert 0 < b.age_lo < b.age_hi < math.inf
