@@ -211,7 +211,7 @@ def _cmd_evaluate(args) -> int:
     n_list = _parse_n_list(args.n)
     dataset = _load_dataset(args.input)
     train, probes = split_leave_latest(dataset)
-    model = _model_for(train, args.sim_cache)
+    model = build_similarity(train)
     started = time.perf_counter()
     report = evaluate_split(train, probes, model, spec, n_list)
     elapsed = time.perf_counter() - started
@@ -301,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--decay", default="constant")
     p.add_argument("--n", default="10,20,50", help="comma-separated search depths")
-    p.add_argument("--sim-cache", help="binary similarity cache to reuse or create")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -345,7 +345,7 @@ class Dataset:
             "items": self.n_items,
             "ratings": self.n_ratings,
             "sparsity": 1.0 - self.n_ratings / cells if cells else 0.0,
-            "excluded_users": int(np.count_nonzero(np.diff(self.indptr) == 1)),
+            "excluded_users": int(np.count_nonzero(np.diff(self.indptr) < 2)),
         }
 
     def content_hash(self) -> str:

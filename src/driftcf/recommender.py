@@ -27,7 +27,7 @@ from scipy.sparse import _sparsetools
 
 from .dataset import MAX_TIMESTAMP, Dataset
 from .decay import DecaySpec
-from .similarity import SimilarityModel
+from .similarity import SimilarityModel, _check_pairing
 
 
 @dataclass(eq=False)
@@ -64,9 +64,7 @@ def _check_query(
     profile = train.ratings[train.indptr[user]:train.indptr[user + 1]]
     if not len(profile):
         raise ValueError(f"user {user} has an empty training profile")
-    # the kernels check no bounds; Dataset keeps every item below n_items
-    if model.n_items != train.n_items:
-        raise ValueError(f"the model has {model.n_items} items, the training set {train.n_items}")
+    _check_pairing(model, train)
     latest = int(profile[-1, 1])
     if t_now < latest:
         raise ValueError(f"query time {t_now} precedes a rating of user {user} at {latest}")

@@ -168,17 +168,16 @@ class SimilarityModel:
     def n_items(self) -> int:
         return self.matrix.shape[0]
 
-    def row_arrays(self, i: int) -> tuple[np.ndarray, np.ndarray]:
-        """Views of row i's column indices and values (do not mutate)."""
-        if not 0 <= i < self.n_items:
-            raise IndexError(f"unknown item index {i} (have {self.n_items} items)")
-        m = self.matrix
-        lo, hi = m.indptr[i], m.indptr[i + 1]
-        return m.indices[lo:hi], m.data[lo:hi]
-
     @property
     def stored_entries(self) -> int:
         return self.matrix.nnz
+
+
+def _check_pairing(model: SimilarityModel, train: Dataset) -> None:
+    """Refuse a model whose item count is not the training set's: its readers
+    index it by the training set's items, and the kernels check no bounds."""
+    if model.n_items != train.n_items:
+        raise ValueError(f"the model has {model.n_items} items, the training set {train.n_items}")
 
 
 def build_similarity(train: Dataset) -> SimilarityModel:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .dataset import Dataset, ProbeSet
 from .decay import Piecewise, sweep_ranges
-from .similarity import SimilarityModel
+from .similarity import SimilarityModel, _check_pairing
 
 BIN_RATIO = 10 ** 0.1  # ten bins per decade, from 1 s
 
@@ -114,8 +114,10 @@ def collect_ssnr_ages(
     """(ssnr, age) pairs for every training rating of every evaluated user.
 
     A user with L ratings contributes L - 1 samples minus the degenerate
-    ones, which are tallied by category instead of emitted.
+    ones, which are tallied by category instead of emitted.  A model whose
+    item count is not the training set's raises ValueError, as in scoring.
     """
+    _check_pairing(model, train)
     users = np.array(probes.evaluated_users, dtype=np.int64)
     lengths = np.diff(train.indptr)[users]
     evaluated = np.zeros(train.n_users, dtype=bool)
@@ -132,12 +134,13 @@ def collect_ssnr_ages(
     # s_ip == s_pi bit for bit (build_similarity scales both entries with one
     # product, and load_cache returns U + U^T, symmetric by construction), so
     # each user's similarities are read from one scatter of the probe's row.
+    m = model.matrix
     s = np.empty(len(items))
     dense = np.zeros(model.n_items)
     ends = np.cumsum(lengths)
     for p, lo, hi in zip(probe_items.tolist(), (ends - lengths).tolist(), ends.tolist()):
-        idx, val = model.row_arrays(p)
-        dense[idx] = val
+        idx = m.indices[m.indptr[p]:m.indptr[p + 1]]
+        dense[idx] = m.data[m.indptr[p]:m.indptr[p + 1]]
         s[lo:hi] = dense[items[lo:hi]]
         dense[idx] = 0.0
 

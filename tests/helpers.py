@@ -62,18 +62,22 @@ def scores_dict(sv: ScoreVector) -> dict[int, float]:
     return {int(j): float(f) for j, f in zip(sv.items, sv.scores)}
 
 
+def _row(model: SimilarityModel, i: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's column indices and values, sliced from the CSR arrays."""
+    m = model.matrix
+    lo, hi = m.indptr[i], m.indptr[i + 1]
+    return m.indices[lo:hi], m.data[lo:hi]
+
+
 def similarity_row(model: SimilarityModel, i: int) -> dict[int, float]:
     """Sparse row of item i; absent keys mean exactly zero."""
-    idx, val = model.row_arrays(i)
+    idx, val = _row(model, i)
     return {int(j): float(s) for j, s in zip(idx, val)}
 
 
 def similarity_value(model: SimilarityModel, i: int, j: int) -> float:
-    """Single similarity s_ij (0.0 when not stored); IndexError for an
-    unknown item i or j."""
-    if not 0 <= j < model.n_items:
-        raise IndexError(f"unknown item index {j} (have {model.n_items} items)")
-    idx, val = model.row_arrays(i)
+    """Single similarity s_ij (0.0 when not stored)."""
+    idx, val = _row(model, i)
     pos = np.searchsorted(idx, j)
     if pos < len(idx) and idx[pos] == j:
         return float(val[pos])

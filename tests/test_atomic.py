@@ -1,4 +1,5 @@
-"""Atomic file output: the file's mode follows the umask, as with ``open``."""
+"""Atomic file output: the file's mode follows the umask, as with ``open``,
+and a block that raises leaves the target as it was."""
 
 import os
 import stat
@@ -26,3 +27,14 @@ def test_mode_follows_umask(tmp_path, umask, expected):
         assert path.read_text() == "new"
         assert stat.S_IMODE(path.stat().st_mode) == expected
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.txt", "new.txt"]
+
+
+def test_temp_file_removed_when_the_block_raises(tmp_path):
+    target = tmp_path / "out.txt"
+    target.write_text("old")
+    with pytest.raises(RuntimeError, match="planted"):
+        with atomic_open(str(target)) as fh:
+            fh.write("new")
+            raise RuntimeError("planted")
+    assert target.read_text() == "old"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]

@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import io
 import json
 import re
 import shlex
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from driftcf import cli
 from driftcf.cli import build_parser, main
-from driftcf.dataset import preprocess
+from driftcf.dataset import preprocess, write_events
 from driftcf.decay import FAMILIES, Constant, parse_decay
 from driftcf.evaluation import evaluate_split, prepare_evaluation
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
@@ -76,6 +77,15 @@ class TestSynth:
         )
         assert code == 0
         assert len(out.splitlines()) == 40
+
+    def test_zero_drift_writes_the_library_variant(self, capsys):
+        flags = ["--seed", "1", "--users", "8", "--items", "30", "--events", "60", "--topics", "3"]
+        code, out, _err = run(capsys, "synth", *flags, "--zero-drift")
+        config = SyntheticConfig(seed=1, users=8, items=30, events=60, topics=3).zero_drift()
+        buf = io.StringIO()
+        write_events(generate_synthetic(config), buf)
+        assert code == 0
+        assert out == buf.getvalue()
 
     def test_infeasible_config_fails_cleanly(self, capsys):
         code, _out, err = run(
@@ -230,6 +240,34 @@ class TestAnalyzeSsnr:
         assert "skipped 1 malformed line" in err
         assert curves[0] == curves[1]
 
+    def test_sim_cache_round_trip(self, small_log, tmp_path, capsys):
+        cache = tmp_path / "sim.bin"
+        out1 = tmp_path / "r1.csv"
+        out2 = tmp_path / "r2.csv"
+        base = ["analyze-ssnr", "--in", str(small_log), "--sim-cache", str(cache)]
+        assert main(base + ["--curve-out", str(out1)]) == 0
+        assert cache.exists()
+        assert main(base + ["--curve-out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+
+    def test_sim_cache_mismatch_refused(self, small_log, tmp_path, capsys):
+        other = tmp_path / "other.tsv"
+        assert main([
+            "synth", "--seed", "99", "--out", str(other),
+            "--users", "40", "--items", "120", "--events", "1600", "--topics", "6",
+        ]) == 0
+        cache = tmp_path / "sim.bin"
+        assert main([
+            "analyze-ssnr", "--in", str(small_log), "--sim-cache", str(cache),
+            "--curve-out", str(tmp_path / "x.csv"),
+        ]) == 0
+        code, _out, err = run(
+            capsys, "analyze-ssnr", "--in", str(other), "--sim-cache", str(cache),
+            "--curve-out", str(tmp_path / "y.csv"),
+        )
+        assert code == 1
+        assert "different training set" in err
+
 
 class TestRecommend:
     def test_json_list_of_item_score(self, small_log, capsys):
@@ -354,32 +392,15 @@ class TestEvaluate:
         assert out == ""
         assert "overflows" in err and "Traceback" not in err
 
-    def test_sim_cache_round_trip(self, small_log, tmp_path, capsys):
-        cache = tmp_path / "sim.bin"
-        out1 = tmp_path / "r1.json"
-        out2 = tmp_path / "r2.json"
-        base = ["evaluate", "--in", str(small_log), "--sim-cache", str(cache)]
-        assert main(base + ["--out", str(out1)]) == 0
-        assert cache.exists()
-        assert main(base + ["--out", str(out2)]) == 0
-        assert out1.read_bytes() == out2.read_bytes()
-
-    def test_sim_cache_mismatch_refused(self, small_log, tmp_path, capsys):
-        other = tmp_path / "other.tsv"
-        assert main([
-            "synth", "--seed", "99", "--out", str(other),
-            "--users", "40", "--items", "120", "--events", "1600", "--topics", "6",
-        ]) == 0
-        cache = tmp_path / "sim.bin"
-        assert main([
-            "evaluate", "--in", str(small_log), "--sim-cache", str(cache),
-            "--out", str(tmp_path / "x.json"),
-        ]) == 0
-        code, _out, err = run(
-            capsys, "evaluate", "--in", str(other), "--sim-cache", str(cache),
+    def test_sim_cache_is_usage_error(self, small_log, tmp_path, capsys):
+        # evaluate builds its model from the split, as sweep and recommend do
+        code, err, _runtime = run_any_exit(
+            capsys, "evaluate", "--in", str(small_log), "--sim-cache", str(tmp_path / "x")
         )
-        assert code == 1
-        assert "different training set" in err
+        assert code == 2
+        assert "unrecognized arguments: --sim-cache" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [small_log]
 
 
 class TestSweep:

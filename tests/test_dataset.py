@@ -127,6 +127,10 @@ class TestPreprocess:
         )
         assert ds.summary()["sparsity"] == 1.0 - 4 / (2 * 2)
         assert ds.summary()["excluded_users"] == 0
+        # an empty profile is excluded from the split too, as is one rating
+        ds = Dataset(["a", "b", "c"], ["x", "y"], [0, 0, 1, 3], [[0, 5], [0, 1], [1, 2]])
+        _train, probes = split_leave_latest(ds)
+        assert ds.summary()["excluded_users"] == ds.n_users - len(probes.evaluated_users) == 2
 
 
 def oracle_repeated_filter(events):
@@ -501,6 +505,10 @@ class TestLayoutRules:
     def test_time_ties_must_rise_in_item(self, profile):
         with pytest.raises(ValueError, match="user 1's ratings are not strictly increasing"):
             dataset_from_profiles(["a", "b"], ["x", "y"], [[(0, 1)], profile])
+
+    def test_ratings_need_two_columns(self):
+        with pytest.raises(ValueError, match=r"expected 2-d int64 rows, got shape \(2, 1\)"):
+            Dataset(["a"], ["x", "y"], [0, 2], [[0], [1]])
 
     def test_negative_timestamp_rejected(self):
         with pytest.raises(ValueError, match=r"timestamps must be in \[0, 2\*\*63 - 1\], got -1"):

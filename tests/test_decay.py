@@ -252,6 +252,10 @@ class TestSpecSyntax:
         with pytest.raises(DecayParseError, match="Te"):
             parse_decay("exp:Te=abc")
 
+    def test_missing_equals_sign_named(self):
+        with pytest.raises(DecayParseError, match="expected key=value, got 'Te'"):
+            parse_decay("exp:Te")
+
     def test_duplicate_key_named(self):
         with pytest.raises(DecayParseError, match="Te"):
             parse_decay("exp:Te=1,Te=2")
@@ -273,3 +277,8 @@ class TestSpecSyntax:
 
     def test_constant_formats_without_colon(self):
         assert format_decay(Constant()) == "constant"
+
+    @pytest.mark.parametrize("value", ["exp:Te=5e4", None, 1.0])
+    def test_format_refuses_what_is_not_a_spec(self, value):
+        with pytest.raises(TypeError, match="not a decay spec"):
+            format_decay(value)

@@ -1,6 +1,7 @@
 """Hit-rate, the leave-the-latest-out harness, grid sweeps, and the thread
 split of the build and the scoring."""
 
+import os
 import random
 import threading
 import time
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftcf import evaluation, similarity
-from driftcf.dataset import preprocess
+from driftcf.dataset import ProbeSet, preprocess
 from driftcf.decay import Constant, Piecewise, eval_decay, format_decay, parse_decay
 from driftcf.evaluation import (
     EvalReport,
@@ -140,6 +141,10 @@ class TestEvaluate:
         ds = preprocess(rating_log([("u1", "a", 1), ("u2", "a", 2)]))
         with pytest.raises(ValueError):
             evaluate(ds, Constant(), [10])
+        # a model built, but no probe to score it on
+        train, _probes, model = prepare_evaluation(dataset_where_probe_always_wins())
+        with pytest.raises(ValueError, match="no evaluable users"):
+            evaluate_split(train, ProbeSet({}), model, Constant())
 
     def test_duplicate_depths_rejected(self):
         ds = dataset_where_probe_always_wins()
@@ -200,19 +205,24 @@ class TestParamGrid:
             ParamGrid.default(families=("linear",))
 
     def test_enumeration_count_with_ts_tl_filter(self):
-        grid = ParamGrid.default(families=("piecewise",), points_per_param=3)
-        points = list(grid.specs())
-        values = grid.values["piecewise"]
-        expected = sum(
-            1
-            for ts in values["t_s"]
-            for tl in values["t_l"]
-            for _ks in values["k_s"]
-            for _kl in values["k_l"]
-            if ts <= tl
-        )
-        assert len(points) == expected
-        assert grid.size() == expected
+        # the default ranges of t_s and t_l do not overlap; the second grid's do
+        overlapping = ParamGrid({
+            "piecewise": {"t_s": [1e3, 1e5], "t_l": [1e4, 1e6], "k_s": [0.5], "k_l": [0.2]},
+        })
+        for grid in (ParamGrid.default(families=("piecewise",), points_per_param=3), overlapping):
+            points = list(grid.specs())
+            values = grid.values["piecewise"]
+            expected = sum(
+                1
+                for ts in values["t_s"]
+                for tl in values["t_l"]
+                for _ks in values["k_s"]
+                for _kl in values["k_l"]
+                if ts <= tl
+            )
+            assert len(points) == expected
+            assert grid.size() == expected
+        assert [(p["t_s"], p["t_l"]) for _f, p, _s in points] == [(1e3, 1e4), (1e3, 1e6), (1e5, 1e6)]
 
     def test_every_point_satisfies_spec_invariants(self):
         grid = ParamGrid.default(points_per_param=4)
@@ -361,6 +371,40 @@ class TestThreads:
     def test_tasks_dealt_round_robin_over_at_most_the_tasks(self, cpus, n_tasks, shares):
         with patch.object(similarity, "_cpu_count", lambda: cpus):
             assert _in_threads(n_tasks, list) == shares
+
+    @pytest.mark.parametrize("count, cpus", [(5, 5), (None, 1)])
+    def test_cpu_count_without_sched_getaffinity(self, monkeypatch, count, cpus):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert similarity._cpu_count() == cpus
+
+    def test_interrupt_while_starting_threads(self):
+        # the second thread's start is interrupted; the first thread, already
+        # running, stops at its next task and is joined
+        start, started, done = threading.Thread.start, [], []
+        interrupt = KeyboardInterrupt()
+
+        def start_once(thread):
+            if started:
+                raise interrupt
+            start(thread)
+            started.append(thread)
+
+        def share(tasks):
+            for task in tasks:
+                done.append(task)
+                time.sleep(0.005)
+
+        before = threading.active_count()
+        with patch.object(similarity, "_cpu_count", lambda: 3), \
+                patch.object(threading.Thread, "start", start_once):
+            with pytest.raises(KeyboardInterrupt) as caught:
+                _in_threads(300, share)
+        assert caught.value is interrupt
+        assert len(started) == 1 and not started[0].is_alive()
+        assert threading.active_count() == before
+        # the calling thread never ran its share; the started one stopped early
+        assert 0 not in done and len(done) < 100, done
 
     def test_outputs_do_not_depend_on_thread_count(self):
         seen = {"fewer users than threads": 0, "more users than threads": 0, "several blocks": 0}

@@ -236,14 +236,6 @@ class TestDenseOracle:
 
 
 class TestRowQueries:
-    def test_unknown_item_raises(self):
-        train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
-        model = build_similarity(train)
-        with pytest.raises(IndexError):
-            similarity_row(model, model.n_items)
-        with pytest.raises(IndexError):
-            similarity_row(model, -1)
-
     def test_row_without_neighbors_is_empty(self):
         train = train_of(
             ("u1", "a", 1), ("u2", "a", 2),
@@ -341,6 +333,13 @@ class TestCache:
         save_cache(model, path, train.content_hash())
         with pytest.raises(CacheMismatchError):
             load_cache(path, "0" * 64)
+
+    @pytest.mark.parametrize("digest", ["ab" * 31, "ab" * 33])
+    def test_digest_not_sha256_refused(self, tmp_path, digest):
+        train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
+        with pytest.raises(ValueError, match="64-character hex SHA-256"):
+            save_cache(build_similarity(train), str(tmp_path / "sim.bin"), digest)
+        assert list(tmp_path.iterdir()) == []
 
     def test_garbage_file_rejected(self, tmp_path):
         path = tmp_path / "junk.bin"
@@ -470,18 +469,23 @@ def small_cache(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def cli_cache(tmp_path_factory):
-    """A synthetic log and the similarity cache evaluate writes for it."""
+    """A synthetic log and the similarity cache analyze-ssnr writes for it."""
     work = tmp_path_factory.mktemp("cli")
     log, cache = work / "log.tsv", work / "sim.bin"
     assert main([
         "synth", "--seed", "7", "--out", str(log),
         "--users", "40", "--items", "120", "--events", "1600", "--topics", "6",
     ]) == 0
-    assert main([
-        "evaluate", "--in", str(log), "--sim-cache", str(cache),
-        "--out", str(work / "eval.json"),
-    ]) == 0
+    assert main(analyze_with_cache(log, cache, work)) == 0
     return log, cache.read_bytes()
+
+
+def analyze_with_cache(log, cache, work) -> list[str]:
+    """The argv of an analyze-ssnr run that reads or writes ``cache``."""
+    return [
+        "analyze-ssnr", "--in", str(log), "--sim-cache", str(cache),
+        "--curve-out", str(work / "curve.csv"),
+    ]
 
 
 class TestCorruptCache:
@@ -520,7 +524,7 @@ class TestCorruptCache:
         path.write_bytes(bytes(out))
         with pytest.raises(CacheFormatError, match=f"unsupported cache version {version}"):
             load_cache(str(path), blob[8:40].hex())
-        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(analyze_with_cache(log, path, tmp_path))
         assert code == 1
         assert error_class(capsys.readouterr().err) == "CacheFormatError"
 
@@ -538,11 +542,12 @@ class TestCorruptCache:
         path.write_bytes(b"".join(parts))
         with pytest.raises(CacheFormatError, match="unsupported cache version 2"):
             load_cache(str(path), blob[8:40].hex())
-        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(analyze_with_cache(log, path, tmp_path))
         assert code == 1
         assert error_class(capsys.readouterr().err) == "CacheFormatError"
 
-    @pytest.mark.parametrize("command", ["evaluate", "analyze-ssnr"])
+    # analyze-ssnr is the one command that reads a cache
+    @pytest.mark.parametrize("command", ["analyze-ssnr"])
     @pytest.mark.parametrize("extra", [-60, 30])
     def test_item_count_unlike_the_training_set_refused(self, cli_cache, tmp_path, capsys, command, extra):
         # keyed by the training set's digest, but sized for fewer or more items
@@ -558,9 +563,7 @@ class TestCorruptCache:
         counts[: min(n_train, n_items)] = model.user_counts[:n_items]
         save_cache(SimilarityModel(matrix, counts), str(path), digest)
         argv = [command, "--in", str(log), "--sim-cache", str(path)]
-        argv += ["--out", str(tmp_path / "eval.json")] if command == "evaluate" else [
-            "--curve-out", str(tmp_path / "curve.csv")]
-        code = main(argv)
+        code = main(argv + ["--curve-out", str(tmp_path / "curve.csv")])
         err = capsys.readouterr().err
         assert code == 1
         assert f"cache holds {n_items} items, the training set {n_train}" in err
@@ -615,7 +618,7 @@ class TestCorruptCache:
         log, blob = cli_cache
         path = tmp_path / "bad.bin"
         path.write_bytes(corrupt_cache(blob, kind))
-        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(analyze_with_cache(log, path, tmp_path))
         err = capsys.readouterr().err
         assert code == 1
         assert error_class(err) == "CacheFormatError"
@@ -631,7 +634,7 @@ class TestCorruptCache:
             out[data.draw(st.integers(0, span - 1))] = data.draw(st.integers(0, 255))
         path = tmp_path / "mutated.bin"
         path.write_bytes(bytes(out))
-        code = main(["evaluate", "--in", str(log), "--sim-cache", str(path)])
+        code = main(analyze_with_cache(log, path, tmp_path))
         err = capsys.readouterr().err
         assert code in (0, 1)
         assert "Traceback" not in err

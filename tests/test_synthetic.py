@@ -56,6 +56,12 @@ class TestStructure:
         assert len(per_user) == len(log.user_ids) == 25
         assert all(count in (28, 29) for count in per_user.values())
 
+    def test_fewer_events_than_users(self):
+        # users past the event count get no event, so they are not in the log
+        log = generate_synthetic(SyntheticConfig(users=10, items=30, events=4, topics=3))
+        assert len(log) == 4
+        assert len(log.user_ids) == len(set(log.users.tolist())) == 4
+
     def test_zero_drift_variant(self):
         config = SMALL.zero_drift()
         assert config.drift_switches == 0
@@ -90,3 +96,12 @@ class TestValidation:
     def test_bad_session_gap_rejected(self):
         with pytest.raises(ValueError):
             generate_synthetic(SyntheticConfig(session_gap=(0, 10)))
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("session_length", 0, "session_length must be positive"),
+        ("drift_switches", -1, "drift_switches must be nonnegative"),
+        ("horizon", 0, "horizon must be positive"),
+    ])
+    def test_bad_scalar_setting_named(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            generate_synthetic(SyntheticConfig(**{field: value}))

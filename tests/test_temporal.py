@@ -168,6 +168,19 @@ class TestCollect:
             assert s.age >= 0
             assert s.ssnr >= 0.0
 
+    @pytest.mark.parametrize("extra", [-1, 3])
+    def test_model_of_another_item_count_refused(self, extra):
+        # a larger model used to give samples and no error, a smaller one an
+        # IndexError; both are refused as a scoring query refuses them
+        _ds, train, probes = random_train(random.Random(80))
+        n_items = train.n_items + extra
+        matrix = build_similarity(train).matrix.copy()
+        matrix.resize((n_items, n_items))
+        model = SimilarityModel(matrix, np.zeros(n_items, dtype=np.int64))
+        message = f"the model has {n_items} items, the training set {train.n_items}"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            collect_ssnr_ages(train, probes, model)
+
     # Small catalogs give items whose only neighbour is the probe
     # (degenerate-infinite) and items with an empty row (isolated).
     EXCLUDING_SIZES = {"max_users": 8, "max_items": 6, "max_events": 30}
