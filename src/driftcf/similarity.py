@@ -22,9 +22,10 @@ whichever thread forms it, so the model does not depend on the thread
 count.  A block holds at most ``BLOCK_ENTRIES`` entries, or n_items if
 that is larger, so a build holds the model plus one block per thread, and
 the blocks' fixed O(n_items) costs stay within the product's own cost.
-The finished model is immutable and safe for concurrent reads.  Its binary
-cache stores each pair once, in the strict upper triangle U; a load returns
-U + U^T, so the loaded model is symmetric by construction.
+Each block also sums its rows' squares into ``row_sq_sums``; the model
+is a frozen value, whole when returned and safe for concurrent reads.  Its
+binary cache stores each pair once, in the strict upper triangle U; a load
+returns U + U^T, so the loaded model is symmetric by construction.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Iterator
 
 import numpy as np
@@ -62,10 +62,6 @@ MAX_SIMILARITY = 1 + 4 * 2.0**-52
 # scratch buffers reused from block to block, each block holding rows whose
 # entries are bounded by this many (or by the item count, if larger).
 BLOCK_ENTRIES = 2**15
-
-# row_sq_sums squares at most this many entries at a time (or one row, if
-# longer), so its temporary stays small however large the model.
-SQ_SUM_ENTRIES = 2**20
 
 
 def _cpu_count() -> int:
@@ -131,38 +127,18 @@ class CacheMismatchError(ValueError):
     """Raised when a cache was built from a different training set."""
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SimilarityModel:
-    """Symmetric sparse similarity matrix and per-item rater counts.
+    """Symmetric sparse similarity matrix, rater counts and squared row sums.
 
     ``matrix`` is items x items canonical CSR (sorted, no duplicate) with no
-    diagonal entry; ``user_counts[i]`` counts the users who rated i.
+    diagonal entry; ``user_counts[i]`` counts the users who rated i, and
+    ``row_sq_sums[i]`` is ``_row_sums`` of row i's squared entries.
     """
 
     matrix: sp.csr_matrix
     user_counts: np.ndarray
-
-    @cached_property
-    def row_sq_sums(self) -> np.ndarray:
-        """Each row's sum of squared entries in stored order, computed on the
-        first read (racing first reads compute equal arrays); exactly 0 for an
-        empty row, where reduceat alone gives the next row's first.  Whole
-        rows are squared ``SQ_SUM_ENTRIES`` entries at a time, and each row
-        is summed by one reduceat segment, as over the whole array at once."""
-        m = self.matrix
-        indptr = m.indptr
-        sums = np.zeros(m.shape[0])
-        lo = 0
-        while lo < m.shape[0]:
-            # rows lo .. hi - 1 hold at most SQ_SUM_ENTRIES entries, or are one row
-            start = int(indptr[lo])
-            hi = max(int(np.searchsorted(indptr, start + SQ_SUM_ENTRIES, side="right")) - 1, lo + 1)
-            rows = lo + np.flatnonzero(np.diff(indptr[lo:hi + 1]))
-            if len(rows):
-                chunk = m.data[start:indptr[hi]]
-                sums[rows] = np.add.reduceat(chunk * chunk, indptr[rows] - start)
-            lo = hi
-        return sums
+    row_sq_sums: np.ndarray
 
     @property
     def n_items(self) -> int:
@@ -171,6 +147,17 @@ class SimilarityModel:
     @property
     def stored_entries(self) -> int:
         return self.matrix.nnz
+
+
+def _row_sums(indptr: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Each CSR row's sum of ``values`` in stored order, ``indptr`` starting
+    at 0: one reduceat segment per nonempty row, and exactly 0 for an empty
+    row, where reduceat alone gives the next row's first value."""
+    sums = np.zeros(len(indptr) - 1)
+    rows = np.flatnonzero(np.diff(indptr))
+    if len(rows):
+        sums[rows] = np.add.reduceat(values, indptr[rows])
+    return sums
 
 
 def _check_pairing(model: SimilarityModel, train: Dataset) -> None:
@@ -228,6 +215,7 @@ def build_similarity(train: Dataset) -> SimilarityModel:
     )
     inv_sqrt = np.divide(1.0, np.sqrt(counts), out=np.zeros(n_items), where=counts > 0)
     indptr, indices, data = np.zeros(n_items + 1, idx), np.empty(nnz, idx), np.empty(nnz)
+    sq = np.empty(n_items)
     max_rows, max_entries = max(np.diff(cuts)), max(sizes)
 
     def fill(blocks: Iterator[int]) -> None:
@@ -252,10 +240,12 @@ def build_similarity(train: Dataset) -> SimilarityModel:
             f = np.take(inv_sqrt, j, out=tx[:len(j)], mode="clip")
             _sparsetools.csr_scale_rows(hi - lo, n_items, bp, j, f, inv_sqrt[lo:hi])
             s *= f
+            # the block's squared entries take f's place in tx
+            sq[lo:hi] = _row_sums(bp[:hi - lo + 1], np.multiply(s, s, out=tx[:len(s)]))
 
     _in_threads(len(cuts) - 1, fill)
     matrix = sp.csr_matrix((data, indices, indptr), shape=(n_items, n_items))
-    return SimilarityModel(matrix, counts)
+    return SimilarityModel(matrix, counts, sq)
 
 
 def _row_blocks(a_indptr: np.ndarray, a_indices: np.ndarray, b_indptr: np.ndarray) -> list[int]:
@@ -309,18 +299,21 @@ def load_cache(path: str, dataset_hash: str) -> SimilarityModel:
     """Load a cached model, refusing one built from a different dataset.
 
     The file holds the strict upper triangle U and the model is U + U^T, so
-    s_ip reads as s_pi.  Raises CacheFormatError for a malformed file:
-    truncated or trailing bytes, row lengths that do not add up to the entry
-    count, a row whose columns are not strictly increasing from above its
-    own item to below the item count, or a similarity that is not finite and
-    positive or exceeds 1 by more than rounding (``MAX_SIMILARITY``).  An
-    error in item k's row names it as record k.
+    s_ip reads as s_pi; its row sums are made once U is freed.  Raises
+    CacheFormatError for a malformed file: truncated or trailing bytes, row
+    lengths that do not add up to the entry count, a row whose columns are
+    not strictly increasing from above its own item to below the item count,
+    or a similarity that is not finite and positive or exceeds 1 by more
+    than rounding (``MAX_SIMILARITY``).  An error in item k's row names it
+    as record k.
     """
     counts, indptr, indices, data = _read_cache(path, dataset_hash)
     _check_entries(path, indptr, indices, data)
     # U is checked canonical and strictly upper, so the sum copies each entry
     upper = sp.csr_matrix((data, indices, indptr), shape=(len(counts),) * 2)
-    return SimilarityModel(upper + upper.T, counts)
+    matrix = upper + upper.T
+    del upper, indptr, indices, data  # so the squares below take U's place
+    return SimilarityModel(matrix, counts, _row_sums(matrix.indptr, matrix.data * matrix.data))
 
 
 def _read_cache(

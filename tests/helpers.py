@@ -1,9 +1,9 @@
 """Conversions between the library's array layouts and plain Python
 values, for tests that state events as triples, profiles as lists of
 (item, timestamp) pairs, similarity rows or scores as a map or ssnr
-samples as rows; the one-call shortcuts only tests use: one
-similarity, the one-pair ssnr and the split-build-evaluate pipeline; and
-the class named by a CLI error line."""
+samples as rows; the one-call shortcuts only tests use: a model of a
+given matrix, one similarity, the one-pair ssnr and the
+split-build-evaluate pipeline; and the class named by a CLI error line."""
 
 import re
 from typing import NamedTuple, Sequence
@@ -14,7 +14,7 @@ from driftcf.dataset import Dataset, RatingLog
 from driftcf.decay import DecaySpec
 from driftcf.evaluation import EvalReport, evaluate_split, prepare_evaluation
 from driftcf.recommender import ScoreVector
-from driftcf.similarity import SimilarityModel
+from driftcf.similarity import SimilarityModel, _row_sums
 from driftcf.temporal import SsnrSamples
 
 
@@ -60,6 +60,14 @@ def score_vector(scores: dict[int, float]) -> ScoreVector:
 def scores_dict(sv: ScoreVector) -> dict[int, float]:
     """The candidate scores of ``sv`` as a map."""
     return {int(j): float(f) for j, f in zip(sv.items, sv.scores)}
+
+
+def model_of_matrix(matrix, user_counts=None) -> SimilarityModel:
+    """A model of the CSR ``matrix``, its row sums made by the rule that a
+    build and a cache load use; user counts are 0 unless given."""
+    if user_counts is None:
+        user_counts = np.zeros(matrix.shape[0], dtype=np.int64)
+    return SimilarityModel(matrix, user_counts, _row_sums(matrix.indptr, matrix.data * matrix.data))
 
 
 def _row(model: SimilarityModel, i: int) -> tuple[np.ndarray, np.ndarray]:

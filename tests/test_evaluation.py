@@ -355,7 +355,7 @@ class TestGridSweep:
 
 def model_arrays(model) -> tuple[bytes, ...]:
     m = model.matrix
-    return tuple(a.tobytes() for a in (m.indptr, m.indices, m.data, model.user_counts))
+    return tuple(a.tobytes() for a in (m.indptr, m.indices, m.data, model.user_counts, model.row_sq_sums))
 
 
 class TestThreads:

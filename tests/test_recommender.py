@@ -25,7 +25,7 @@ from driftcf.decay import (
 from driftcf import recommender
 from driftcf.recommender import SPEC_CHUNK, probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
-from helpers import dataset_from_profiles, score_vector, scores_dict, similarity_value
+from helpers import dataset_from_profiles, model_of_matrix, score_vector, scores_dict, similarity_value
 from oracles import (
     dense_cosine,
     dense_scores,
@@ -42,7 +42,7 @@ def model_from_dense(dense) -> SimilarityModel:
     matrix = sp.csr_matrix(arr)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    return SimilarityModel(matrix, np.zeros(arr.shape[0], dtype=np.int64))
+    return model_of_matrix(matrix)
 
 
 def train_with_profiles(n_items, profiles) -> Dataset:
@@ -66,7 +66,7 @@ def with_index_dtype(model: SimilarityModel, dtype) -> SimilarityModel:
     """The same model with its CSR index arrays in ``dtype``."""
     matrix = model.matrix.copy()
     matrix.indptr, matrix.indices = matrix.indptr.astype(dtype), matrix.indices.astype(dtype)
-    return SimilarityModel(matrix, model.user_counts)
+    return model_of_matrix(matrix, model.user_counts)
 
 
 class TestScoreItems:
@@ -259,7 +259,7 @@ class TestProbeRank:
         matrix = sp.csr_matrix(
             ([np.nan, 0.4, np.nan, 0.4], [1, 2, 0, 0], [0, 2, 3, 4]), shape=(3, 3)
         )
-        model = SimilarityModel(matrix, np.zeros(3, dtype=np.int64))
+        model = model_of_matrix(matrix)
         train = train_with_profiles(3, [[(0, 100)]])
         sv = score_items(train, model, 0, 500, Constant())
         assert probe_rank(sv, 1) is None
@@ -363,7 +363,7 @@ class TestProbeRanks:
         dense[4, 5] = dense[5, 4] = 0.2
         dense[4, 2] = dense[2, 4] = 0.5
         matrix = sp.csr_matrix(dense)
-        model = SimilarityModel(matrix, np.zeros(6, dtype=np.int64))
+        model = model_of_matrix(matrix)
         train = train_with_profiles(6, [[(0, 100), (4, 5000)], [(4, 10)]])
         specs = [Constant(), Window(1000.0), Exponential(3000.0), Piecewise(10.0, 2000.0, 1.0, 0.5)]
         for user in (0, 1):

@@ -1,10 +1,10 @@
 """Similarity model construction, queries, and the binary cache."""
 
+import dataclasses
 import math
 import random
 import struct
 import tracemalloc
-from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -18,7 +18,7 @@ from driftcf.dataset import Dataset, preprocess, split_leave_latest
 from driftcf.similarity import (
     CacheFormatError,
     CacheMismatchError,
-    SimilarityModel,
+    _row_sums,
     build_similarity,
     load_cache,
     save_cache,
@@ -27,6 +27,7 @@ from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from helpers import (
     dataset_from_profiles,
     error_class,
+    model_of_matrix,
     profile_pairs,
     rating_log,
     similarity_row,
@@ -168,8 +169,7 @@ class TestBuildMemory:
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        m = model.matrix
-        model_bytes = sum(a.nbytes for a in (m.indptr, m.indices, m.data, model.user_counts))
+        model_bytes = sum(a.nbytes for a in model_arrays(model))
         assert peak - model_bytes < model_bytes / 2, (peak, model_bytes)
 
 
@@ -264,20 +264,18 @@ class TestRowSqSums:
     ])
     def test_empty_rows_are_exactly_zero(self, dense):
         matrix = sp.csr_matrix(np.array(dense))
-        got = SimilarityModel(matrix, np.zeros(matrix.shape[0], dtype=np.int64)).row_sq_sums
+        got = _row_sums(matrix.indptr, matrix.data * matrix.data)
         assert got.tobytes() == old_row_sq_sums(matrix).tobytes()
         assert np.all(got[np.diff(matrix.indptr) == 0] == 0.0)
 
     @settings(max_examples=100, deadline=None)
     @given(
         lengths=st.lists(st.integers(0, 12), min_size=1, max_size=12),
-        chunk=st.integers(1, 8),
         seed=st.integers(0, 2**32),
     )
-    @example(lengths=[0, 3, 0, 9, 2, 0], chunk=4, seed=0)
-    def test_chunked_sums_match_one_shot_form_bit_for_bit(self, lengths, chunk, seed):
-        # rows of random lengths, empty ones and ones longer than the chunk
-        # among them, summed SQ_SUM_ENTRIES = chunk entries at a time
+    @example(lengths=[0, 3, 0, 9, 2, 0], seed=0)
+    def test_random_row_lengths_match_old_form_bit_for_bit(self, lengths, seed):
+        # rows of random lengths, empty ones among them
         rng = np.random.default_rng(seed)
         indptr = np.concatenate(([0], np.cumsum(lengths)))
         n = len(lengths)
@@ -286,9 +284,9 @@ class TestRowSqSums:
         nonempty = np.diff(indptr) > 0
         one_shot = np.zeros(n)
         one_shot[nonempty] = np.add.reduceat(matrix.data * matrix.data, indptr[:-1][nonempty])
-        with patch.object(similarity, "SQ_SUM_ENTRIES", chunk):
-            got = SimilarityModel(matrix, np.zeros(n, dtype=np.int64)).row_sq_sums
+        got = _row_sums(matrix.indptr, matrix.data * matrix.data)
         assert got.tobytes() == one_shot.tobytes()
+        assert got.tobytes() == old_row_sq_sums(matrix).tobytes()
 
     def test_built_and_loaded_models_match_old_form_bit_for_bit(self, tmp_path):
         rng = random.Random(2024)
@@ -309,6 +307,15 @@ class TestRowSqSums:
 def model_arrays(model) -> tuple[np.ndarray, ...]:
     m = model.matrix
     return m.indptr, m.indices, m.data, model.user_counts, model.row_sq_sums
+
+
+class TestFrozen:
+    @pytest.mark.parametrize("field", ["matrix", "user_counts", "row_sq_sums"])
+    def test_assigning_a_field_refused(self, field):
+        train = train_of(("u1", "a", 1), ("u2", "a", 2), ("u1", "b", 3), ("u2", "b", 4))
+        model = build_similarity(train)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(model, field, getattr(model, field))
 
 
 class TestCache:
@@ -561,7 +568,7 @@ class TestCorruptCache:
         matrix.resize((n_items, n_items))
         counts = np.zeros(n_items, dtype=np.int64)
         counts[: min(n_train, n_items)] = model.user_counts[:n_items]
-        save_cache(SimilarityModel(matrix, counts), str(path), digest)
+        save_cache(model_of_matrix(matrix, counts), str(path), digest)
         argv = [command, "--in", str(log), "--sim-cache", str(path)]
         code = main(argv + ["--curve-out", str(tmp_path / "curve.csv")])
         err = capsys.readouterr().err

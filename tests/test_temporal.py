@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import statistics
 from unittest.mock import patch
 
@@ -12,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from driftcf import temporal
-from driftcf.dataset import ProbeSet
+from driftcf.dataset import Dataset, ProbeSet
 from driftcf.similarity import SimilarityModel, build_similarity
 from driftcf.temporal import (
     BIN_RATIO,
@@ -25,7 +26,14 @@ from driftcf.temporal import (
     fit_piecewise_trend,
     log_bin_average,
 )
-from helpers import DegenerateRatioError, SampleRow, compute_ssnr, sample_rows, ssnr_samples
+from helpers import (
+    DegenerateRatioError,
+    SampleRow,
+    compute_ssnr,
+    model_of_matrix,
+    sample_rows,
+    ssnr_samples,
+)
 from oracles import dense_cosine, fit_trend_grid_loop, random_train, scan_bins, ssnr_full_loop
 
 
@@ -36,7 +44,7 @@ def model_from_dense(dense) -> SimilarityModel:
     matrix = sp.csr_matrix(arr)
     matrix.eliminate_zeros()
     matrix.sort_indices()
-    return SimilarityModel(matrix, np.zeros(arr.shape[0], dtype=np.int64))
+    return model_of_matrix(matrix)
 
 
 class TestComputeSsnr:
@@ -176,7 +184,7 @@ class TestCollect:
         n_items = train.n_items + extra
         matrix = build_similarity(train).matrix.copy()
         matrix.resize((n_items, n_items))
-        model = SimilarityModel(matrix, np.zeros(n_items, dtype=np.int64))
+        model = model_of_matrix(matrix)
         message = f"the model has {n_items} items, the training set {train.n_items}"
         with pytest.raises(ValueError, match=f"^{message}$"):
             collect_ssnr_ages(train, probes, model)
@@ -186,11 +194,9 @@ class TestCollect:
     EXCLUDING_SIZES = {"max_users": 8, "max_items": 6, "max_events": 30}
 
     @staticmethod
-    def check_against_per_rating_loop(seed):
+    def check_per_rating_loop(train, probes, model):
         """collect_ssnr_ages equals one compute_ssnr call per rating, with ==;
         returns the exclusion tallies."""
-        _ds, train, probes = random_train(random.Random(seed), **TestCollect.EXCLUDING_SIZES)
-        model = build_similarity(train)
         rows, tallies = [], {"degenerate_infinite": 0, "isolated": 0}
         for u in probes.evaluated_users:
             probe_item, probe_time = probes.probes[u]
@@ -207,6 +213,11 @@ class TestCollect:
         assert exclusions == tallies
         return tallies
 
+    @staticmethod
+    def check_against_per_rating_loop(seed):
+        _ds, train, probes = random_train(random.Random(seed), **TestCollect.EXCLUDING_SIZES)
+        return TestCollect.check_per_rating_loop(train, probes, build_similarity(train))
+
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1))
     @example(9)
@@ -219,6 +230,83 @@ class TestCollect:
             for kind, count in self.check_against_per_rating_loop(seed).items():
                 totals[kind] += count
         assert totals["degenerate_infinite"] > 0 and totals["isolated"] > 0
+
+    # a, b and c rate x and y, x and z, y and z, at times 1, 2 and 3
+    PROBE_CASE = Dataset(["a", "b", "c"], ["x", "y", "z"], [0, 2, 4, 6],
+                         [[0, 1], [1, 2], [0, 1], [2, 3], [1, 1], [2, 2]])
+
+    @pytest.mark.parametrize("probes, message", [
+        ({-1: (0, 9)}, "unknown user index -1 (have 3 users)"),
+        ({5: (2, 9)}, "unknown user index 5 (have 3 users)"),
+        ({0: (-1, 9)}, "probe item -1 of user 0 lies outside [0, 3)"),
+        ({0: (7, 9)}, "probe item 7 of user 0 lies outside [0, 3)"),
+        ({0: (2, 0)}, "query time 0 precedes a rating of user 0 at 2"),
+        ({0: (2, 2**63)}, f"query time {2**63} exceeds 2**63 - 1"),
+    ])
+    def test_probe_outside_the_training_set_refused(self, probes, message):
+        # these read another user's profile, read no probe row, gave negative
+        # ages, or raised OverflowError or IndexError
+        train = self.PROBE_CASE
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            collect_ssnr_ages(train, ProbeSet(probes), build_similarity(train))
+
+    def test_empty_profile_gives_no_samples(self):
+        # c rates nothing, so its probe time is held to no rating
+        train = Dataset(["a", "b", "c", "d"], ["x", "y"], [0, 2, 4, 4, 5],
+                        [[0, 1], [1, 2], [0, 1], [1, 3], [0, 4]])
+        samples, exclusions = collect_ssnr_ages(
+            train, ProbeSet({2: (1, -2**70), 3: (1, 9)}), build_similarity(train)
+        )
+        assert len(samples) + sum(exclusions.values()) == 1
+
+    @staticmethod
+    def first_probe_error(train, probes):
+        """The message of the first probe rule broken, by a scan that takes
+        the rules in order, each over every evaluated user, and the two time
+        rules together; None when every probe keeps them."""
+        entries = sorted(probes.probes.items())
+        for u, (item, t) in entries:
+            if not 0 <= u < train.n_users:
+                return f"unknown user index {u} (have {train.n_users} users)"
+        for u, (item, t) in entries:
+            if not 0 <= item < train.n_items:
+                return f"probe item {item} of user {u} lies outside [0, {train.n_items})"
+        for u, (item, t) in entries:
+            profile = train.profiles[u].tolist()
+            if profile and t < profile[-1][1]:
+                return f"query time {t} precedes a rating of user {u} at {profile[-1][1]}"
+            if profile and t > 2**63 - 1:
+                return f"query time {t} exceeds 2**63 - 1"
+        return None
+
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), data=st.data())
+    def test_probes_checked_exactly_when_invalid(self, seed, data):
+        # the split's own probes, some replaced by out-of-range users, items
+        # or times; the rest must give the per-rating oracle's samples
+        _ds, train, probes = random_train(random.Random(seed), **self.EXCLUDING_SIZES)
+        model = build_similarity(train)
+        entries = dict(probes.probes)
+        outside_users = st.integers(max_value=-1) | st.integers(min_value=train.n_users)
+        outside_items = st.integers(max_value=-1) | st.integers(min_value=train.n_items)
+        for kind in data.draw(st.lists(st.sampled_from(["user", "item", "early", "late"]), max_size=3)):
+            u = data.draw(st.sampled_from(sorted(probes.probes)))
+            item, t = probes.probes[u]
+            if kind == "user":
+                entries[data.draw(outside_users)] = (item, t)
+            elif kind == "item":
+                entries[u] = (data.draw(outside_items), t)
+            elif kind == "early":
+                entries[u] = (item, data.draw(st.integers(max_value=int(train.profiles[u][-1, 1]) - 1)))
+            else:
+                entries[u] = (item, data.draw(st.integers(min_value=2**63)))
+        mixed = ProbeSet(entries)
+        message = self.first_probe_error(train, mixed)
+        if message is None:
+            self.check_per_rating_loop(train, mixed, model)
+        else:
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                collect_ssnr_ages(train, mixed, model)
 
 
 def naive_bins(samples, ratio, age_min):
