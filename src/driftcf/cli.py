@@ -28,9 +28,10 @@ from .dataset import (
     split_leave_latest,
     write_events,
 )
-from .decay import FAMILIES, Piecewise, format_decay, parse_decay
+from .decay import FAMILIES, Piecewise, _fmt, format_decay, parse_decay
 from .evaluation import (
     ALL_FAMILIES,
+    DEFAULT_DEPTHS,
     DEFAULT_POINTS_PER_PARAM,
     ParamGrid,
     check_depths,
@@ -60,10 +61,6 @@ SWEEP_PARAM_COLUMNS = tuple(
 SYNTH_FLAGS = {
     f.name: f.default for f in dataclasses.fields(SyntheticConfig) if f.name != "session_gap"
 }
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
 
 
 def _round12(value):
@@ -264,6 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"driftcf {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    depths = ",".join(map(str, DEFAULT_DEPTHS))
 
     p = sub.add_parser("synth", help="generate a synthetic event log")
     p.add_argument("--out", default="-", help="output TSV path (default stdout)")
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="leave-the-latest-out hit-rate evaluation")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--decay", default="constant")
-    p.add_argument("--n", default="10,20,50", help="comma-separated search depths")
+    p.add_argument("--n", default=depths, help="comma-separated search depths")
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -308,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--family", default=",".join(ALL_FAMILIES))
     p.add_argument("--grid-points", type=int, default=DEFAULT_POINTS_PER_PARAM)
-    p.add_argument("--n", default="10,20,50", help="search depths; the first is the objective")
+    p.add_argument("--n", default=depths, help="search depths; the first is the objective")
     p.add_argument("--table-out", required=True, help="full results CSV path")
     p.add_argument("--best-out", help="optional best-parameters JSON path")
     # deprecated and ignored: the build and the scoring split their work over
@@ -324,8 +322,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
-        print(f"driftcf: error: {type(exc).__name__}: {exc}", file=sys.stderr)
+    except (ValueError, OSError, MemoryError) as exc:
+        # numpy's failed allocations raise a private subclass of MemoryError
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        print(f"driftcf: error: {name}: {exc}", file=sys.stderr)
         return 1
 
 

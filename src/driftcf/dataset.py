@@ -359,6 +359,23 @@ class Dataset:
         return digest.hexdigest()
 
 
+def _query_profile(train: Dataset, user: int, t_now: int) -> np.ndarray:
+    """The rule of a query, scoring's or the ssnr pass's: the user's rows of
+    ``train.ratings``.  Raises ValueError, in this order, for an unknown user,
+    an empty profile, and a time before its last (latest) row or above 2**63 - 1."""
+    if not 0 <= user < train.n_users:
+        raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
+    profile = train.ratings[train.indptr[user]:train.indptr[user + 1]]
+    if not len(profile):
+        raise ValueError(f"user {user} has an empty training profile")
+    latest = int(profile[-1, 1])
+    if t_now < latest:
+        raise ValueError(f"query time {t_now} precedes a rating of user {user} at {latest}")
+    if t_now > MAX_TIMESTAMP:
+        raise ValueError(f"query time {t_now} exceeds 2**63 - 1")
+    return profile
+
+
 @dataclass
 class ProbeSet:
     """Held-out latest ratings: user index -> (probe item, probe time).

@@ -245,6 +245,7 @@ def parse_decay(text: str) -> DecaySpec:
 
 
 def _fmt(x: float) -> str:
+    """``x`` to 12 significant digits, as spec strings and CLI artifacts hold it."""
     return format(x, ".12g")
 
 

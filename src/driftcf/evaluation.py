@@ -29,6 +29,9 @@ from .recommender import probe_ranks
 from .similarity import SimilarityModel, _in_threads, build_similarity
 
 
+DEFAULT_DEPTHS = (10, 20, 50)
+
+
 @dataclass(frozen=True)
 class DepthResult:
     """Hit statistics at one search depth."""
@@ -109,7 +112,7 @@ def evaluate_split(
     probes: ProbeSet,
     model: SimilarityModel,
     spec: DecaySpec,
-    n_list: Sequence[int] = (10, 20, 50),
+    n_list: Sequence[int] = DEFAULT_DEPTHS,
 ) -> EvalReport:
     """Evaluate one decay spec against an existing split and model."""
     return _evaluate_specs(train, probes, model, [spec], n_list)[0]
@@ -180,7 +183,7 @@ def grid_sweep(
     dataset: Dataset,
     grid: ParamGrid,
     objective_n: int = 10,
-    n_list: Sequence[int] = (10, 20, 50),
+    n_list: Sequence[int] = DEFAULT_DEPTHS,
 ) -> SweepResult:
     """Evaluate every grid point at the depths ``n_list`` and pick the best
     by H@objective_n, one of those depths, over the whole grid and within

@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 from scipy.sparse import _sparsetools
 
-from .dataset import MAX_TIMESTAMP, Dataset
+from .dataset import Dataset, _query_profile
 from .decay import DecaySpec
 from .similarity import SimilarityModel, _check_pairing
 
@@ -55,21 +55,11 @@ def _check_query(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Validate a query; returns its profile's item indices, in the model's
     index dtype, and the ages of its ratings at ``t_now``.  Raises
-    ValueError for an unknown user, an empty training profile, a model
-    whose item count differs from the training set's, or a query time
-    before the profile's last (latest) rating or above 2**63 - 1.
+    ValueError first for a model whose item count differs from the training
+    set's, then as ``dataset._query_profile`` does.
     """
-    if not 0 <= user < train.n_users:
-        raise ValueError(f"unknown user index {user} (have {train.n_users} users)")
-    profile = train.ratings[train.indptr[user]:train.indptr[user + 1]]
-    if not len(profile):
-        raise ValueError(f"user {user} has an empty training profile")
     _check_pairing(model, train)
-    latest = int(profile[-1, 1])
-    if t_now < latest:
-        raise ValueError(f"query time {t_now} precedes a rating of user {user} at {latest}")
-    if t_now > MAX_TIMESTAMP:
-        raise ValueError(f"query time {t_now} exceeds 2**63 - 1")
+    profile = _query_profile(train, user, t_now)
     return profile[:, 0].astype(model.matrix.indices.dtype), (t_now - profile[:, 1]).astype(float)
 
 

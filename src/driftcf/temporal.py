@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MAX_TIMESTAMP, Dataset, ProbeSet
+from .dataset import Dataset, ProbeSet, _query_profile
 from .decay import Piecewise, sweep_ranges
 from .similarity import SimilarityModel, _check_pairing
 
@@ -114,36 +114,22 @@ def collect_ssnr_ages(
     """(ssnr, age) pairs for every training rating of every evaluated user.
 
     A user with L ratings contributes L - 1 samples minus the degenerate
-    ones, which are tallied by category instead of emitted; one with no
-    training rating contributes none, whatever its probe time.  Raises
+    ones, which are tallied by category instead of emitted.  Raises
     ValueError, before any read of the model, for a model whose item count
-    is not the training set's, as in scoring, then, rule by rule, for the
-    first probe whose user or item lies outside the training set or whose
-    time precedes its user's latest training rating or exceeds 2**63 - 1.
+    is not the training set's, as in scoring; then, for the first evaluated
+    user, ascending, whose probe breaks a rule: the probe time must pass
+    ``dataset._query_profile`` as a scoring query's time does, and then the
+    probe item must lie in the training set.
     """
     _check_pairing(model, train)
-    # Python ints, so no probe entry overflows before it is checked
-    users, probe_items, probe_times = np.array(
-        [(u, *probes.probes[u]) for u in probes.evaluated_users], dtype=object
-    ).reshape(-1, 3).T
-    bad = (users < 0) | (users >= train.n_users)
-    if bad.any():
-        raise ValueError(f"unknown user index {users[bad][0]} (have {train.n_users} users)")
-    bad = (probe_items < 0) | (probe_items >= train.n_items)
-    if bad.any():
-        k = np.argmax(bad)
-        raise ValueError(f"probe item {probe_items[k]} of user {users[k]} lies outside [0, {train.n_items})")
-    # a user with no training rating has no latest one, and gives no sample
-    rated = np.diff(train.indptr)[users.astype(np.int64)] > 0
-    users, probe_items, probe_times = users[rated].astype(np.int64), probe_items[rated], probe_times[rated]
-    latest = train.ratings[train.indptr[users + 1] - 1, 1]
-    bad = (probe_times < latest) | (probe_times > MAX_TIMESTAMP)
-    if bad.any():
-        k = np.argmax(bad)
-        t = probe_times[k]
-        raise ValueError(f"query time {t} precedes a rating of user {users[k]} at {latest[k]}"
-                         if t < latest[k] else f"query time {t} exceeds 2**63 - 1")
-    probe_items, probe_times = probe_items.astype(np.int64), probe_times.astype(np.int64)
+    users = probes.evaluated_users
+    entries = [probes.probes[u] for u in users]
+    for u, (item, t) in zip(users, entries):
+        _query_profile(train, u, t)
+        if not 0 <= item < train.n_items:
+            raise ValueError(f"probe item {item} of user {u} lies outside [0, {train.n_items})")
+    users = np.array(users, dtype=np.int64)
+    probe_items, probe_times = np.array(entries, dtype=np.int64).reshape(-1, 2).T
     lengths = np.diff(train.indptr)[users]
     evaluated = np.zeros(train.n_users, dtype=bool)
     evaluated[users] = True

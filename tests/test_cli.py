@@ -17,7 +17,7 @@ from driftcf import cli
 from driftcf.cli import build_parser, main
 from driftcf.dataset import preprocess, write_events
 from driftcf.decay import FAMILIES, Constant, parse_decay
-from driftcf.evaluation import evaluate_split, prepare_evaluation
+from driftcf.evaluation import ParamGrid, evaluate_split, prepare_evaluation
 from driftcf.synthetic import SyntheticConfig, generate_synthetic
 from driftcf.temporal import TrendFit
 from helpers import error_class
@@ -544,6 +544,21 @@ class TestFlagsBeforeLog:
         assert code == 1
         assert message in err
         assert "FileNotFoundError" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("error", [MemoryError, type("_ArrayMemoryError", (MemoryError,), {})])
+    def test_failed_allocation_is_one_line(self, tmp_path, monkeypatch, capsys, error):
+        # np.geomspace raises numpy's private MemoryError subclass for a grid
+        # too large to allocate; the grid is patched, so nothing is allocated
+        def default(families, points_per_param):
+            raise error(f"Unable to allocate {points_per_param} grid points")
+
+        monkeypatch.setattr(ParamGrid, "default", staticmethod(default))
+        monkeypatch.chdir(tmp_path)
+        code, _out, err = run(capsys, "sweep", "--family", "window", "--grid-points", "9999999999",
+                              "--table-out", "t.csv", "--in", str(tmp_path / "missing.tsv"))
+        assert code == 1
+        assert err == "driftcf: error: MemoryError: Unable to allocate 9999999999 grid points\n"
         assert list(tmp_path.iterdir()) == []
 
 

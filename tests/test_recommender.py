@@ -12,7 +12,7 @@ from scipy.sparse import _sparsetools
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from driftcf.dataset import Dataset
+from driftcf.dataset import Dataset, ProbeSet
 from driftcf.decay import (
     Constant,
     Exponential,
@@ -25,6 +25,7 @@ from driftcf.decay import (
 from driftcf import recommender
 from driftcf.recommender import SPEC_CHUNK, probe_rank, probe_ranks, score_items, top_n
 from driftcf.similarity import SimilarityModel, build_similarity
+from driftcf.temporal import collect_ssnr_ages
 from helpers import dataset_from_profiles, model_of_matrix, score_vector, scores_dict, similarity_value
 from oracles import (
     dense_cosine,
@@ -393,6 +394,8 @@ class TestProbeRanks:
         assert probe_ranks(train, model, 0, 500, probe, [Constant()]).tolist() == expected
 
     def test_raises_the_errors_of_score_items(self):
+        # and the ssnr pass, whose probe time is a query time, refuses the
+        # same queries with the same messages
         dense = np.zeros((2, 2))
         dense[0, 1] = dense[1, 0] = 0.4
         model = model_from_dense(dense)
@@ -402,7 +405,9 @@ class TestProbeRanks:
                 score_items(train, model, user, t_now, Constant())
             with pytest.raises(ValueError) as ranked:
                 probe_ranks(train, model, user, t_now, 1, [Constant()])
-            assert str(ranked.value) == str(scored.value)
+            with pytest.raises(ValueError) as collected:
+                collect_ssnr_ages(train, ProbeSet({user: (1, t_now)}), model)
+            assert str(ranked.value) == str(collected.value) == str(scored.value)
 
 
 class TestKernelScoring:

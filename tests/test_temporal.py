@@ -250,50 +250,54 @@ class TestCollect:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             collect_ssnr_ages(train, ProbeSet(probes), build_similarity(train))
 
-    def test_empty_profile_gives_no_samples(self):
-        # c rates nothing, so its probe time is held to no rating
+    def test_empty_profile_refused(self):
+        # c rates nothing, so its probe is refused as a scoring query is,
+        # whatever its time, and before d's probe time is checked
         train = Dataset(["a", "b", "c", "d"], ["x", "y"], [0, 2, 4, 4, 5],
                         [[0, 1], [1, 2], [0, 1], [1, 3], [0, 4]])
-        samples, exclusions = collect_ssnr_ages(
-            train, ProbeSet({2: (1, -2**70), 3: (1, 9)}), build_similarity(train)
-        )
-        assert len(samples) + sum(exclusions.values()) == 1
+        for t in (-2**70, 9):
+            with pytest.raises(ValueError, match="^user 2 has an empty training profile$"):
+                collect_ssnr_ages(train, ProbeSet({2: (1, t), 3: (1, 0)}), build_similarity(train))
 
     @staticmethod
     def first_probe_error(train, probes):
-        """The message of the first probe rule broken, by a scan that takes
-        the rules in order, each over every evaluated user, and the two time
-        rules together; None when every probe keeps them."""
-        entries = sorted(probes.probes.items())
-        for u, (item, t) in entries:
+        """The message of the first probe rule broken, by a scan over the
+        evaluated users in ascending order that takes each user's rules in
+        order, the probe item last; None when every probe keeps them."""
+        for u, (item, t) in sorted(probes.probes.items()):
             if not 0 <= u < train.n_users:
                 return f"unknown user index {u} (have {train.n_users} users)"
-        for u, (item, t) in entries:
+            profile = train.profiles[u].tolist()
+            if not profile:
+                return f"user {u} has an empty training profile"
+            if t < profile[-1][1]:
+                return f"query time {t} precedes a rating of user {u} at {profile[-1][1]}"
+            if t > 2**63 - 1:
+                return f"query time {t} exceeds 2**63 - 1"
             if not 0 <= item < train.n_items:
                 return f"probe item {item} of user {u} lies outside [0, {train.n_items})"
-        for u, (item, t) in entries:
-            profile = train.profiles[u].tolist()
-            if profile and t < profile[-1][1]:
-                return f"query time {t} precedes a rating of user {u} at {profile[-1][1]}"
-            if profile and t > 2**63 - 1:
-                return f"query time {t} exceeds 2**63 - 1"
         return None
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), data=st.data())
     def test_probes_checked_exactly_when_invalid(self, seed, data):
         # the split's own probes, some replaced by out-of-range users, items
-        # or times; the rest must give the per-rating oracle's samples
+        # or times, or moved to users with no training rating; the rest must
+        # give the per-rating oracle's samples
         _ds, train, probes = random_train(random.Random(seed), **self.EXCLUDING_SIZES)
         model = build_similarity(train)
         entries = dict(probes.probes)
         outside_users = st.integers(max_value=-1) | st.integers(min_value=train.n_users)
         outside_items = st.integers(max_value=-1) | st.integers(min_value=train.n_items)
-        for kind in data.draw(st.lists(st.sampled_from(["user", "item", "early", "late"]), max_size=3)):
+        unrated = np.flatnonzero(np.diff(train.indptr) == 0).tolist()
+        kinds = ["user", "item", "early", "late"] + (["unrated"] if unrated else [])
+        for kind in data.draw(st.lists(st.sampled_from(kinds), max_size=3)):
             u = data.draw(st.sampled_from(sorted(probes.probes)))
             item, t = probes.probes[u]
             if kind == "user":
                 entries[data.draw(outside_users)] = (item, t)
+            elif kind == "unrated":
+                entries[data.draw(st.sampled_from(unrated))] = (item, t)
             elif kind == "item":
                 entries[u] = (data.draw(outside_items), t)
             elif kind == "early":
