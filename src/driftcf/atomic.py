@@ -15,15 +15,23 @@ def atomic_open(path: str, mode: str = "w", **kwargs) -> Iterator[IO]:
     is removed if the block raises.  ``kwargs`` go to ``open``.
 
     The temp file is created with mode 0o666 less the umask, as ``open``
-    creates a file, and the rename keeps that mode.
+    creates a file, and the rename keeps that mode.  An ``OSError`` from
+    creating or renaming the temp file is raised as its own class, errno and
+    message, naming ``path``.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".driftcf-tmp-{secrets.token_hex(8)}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, mode, **kwargs) as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

@@ -39,7 +39,7 @@ from .evaluation import (
     grid_sweep,
 )
 from .recommender import score_items, top_n
-from .similarity import CacheFormatError, build_similarity, load_cache, save_cache
+from .similarity import build_similarity, load_cache, save_cache
 from .synthetic import SyntheticConfig, generate_synthetic
 from .temporal import (
     TL_GRID,
@@ -125,10 +125,6 @@ def _decay_note(fit: TrendFit) -> str:
 def _model_for(train, cache_path: str | None):
     if cache_path and os.path.exists(cache_path):
         model = load_cache(cache_path, train.content_hash())
-        if model.n_items != train.n_items:
-            raise CacheFormatError(
-                f"{cache_path}: cache holds {model.n_items} items, the training set {train.n_items}"
-            )
         print(f"note: loaded similarity cache {cache_path}", file=sys.stderr)
         return model
     model = build_similarity(train)

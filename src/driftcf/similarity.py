@@ -16,14 +16,15 @@ subtracted from the diagonal inside the product, so it is never stored,
 and each block is sorted by two counting transposes, scaled to cosines
 and written straight into the model's arrays, at the offset that a
 symbolic pass over every block fixed beforehand.  The blocks are spread
-over one thread per CPU the process may run on (``_in_threads``), each
-with scratch buffers of its own; every entry gets the same arithmetic
-whichever thread forms it, so the model does not depend on the thread
-count.  A block holds at most ``BLOCK_ENTRIES`` entries, or n_items if
-that is larger, so a build holds the model plus one block per thread, and
-the blocks' fixed O(n_items) costs stay within the product's own cost.
-Each block also sums its rows' squares into ``row_sq_sums``; the model
-is a frozen value, whole when returned and safe for concurrent reads.  Its
+over one thread per CPU the process may run on, the calling one and the
+standard ``ThreadPoolExecutor``'s workers (``_in_threads``), each with
+scratch buffers of its own; every entry gets the same arithmetic whichever
+thread forms it, so the model does not depend on the thread count.  A
+block holds at most ``BLOCK_ENTRIES`` entries, or n_items if that is
+larger, so a build holds the model plus one block per thread, and the
+blocks' fixed O(n_items) costs stay within the product's own cost.  Each
+block also sums its rows' squares into ``row_sq_sums``; the model is a
+frozen value, whole when returned and safe for concurrent reads.  Its
 binary cache stores each pair once, in the strict upper triangle U; a load
 returns U + U^T, so the loaded model is symmetric by construction.
 """
@@ -34,6 +35,7 @@ import itertools
 import os
 import struct
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -78,45 +80,29 @@ def _in_threads(n_tasks: int, share: Callable[[Iterator[int]], object]) -> list:
 
     ``share`` is called once per thread k with an iterator over the tasks
     k, k + T, k + 2T, ...; it does those tasks and returns what the caller
-    combines.  Once any share raises, or an interrupt arrives, every
-    iterator stops before its next task; the first error is raised after
-    every thread has ended.
+    combines.  Share 0 runs in the calling thread and shares 1 .. T - 1 on a
+    pool of T - 1 workers.  Once any share raises, or an interrupt arrives,
+    every iterator stops before its next task; the error is raised after
+    every worker has ended.  If several shares raise, share 0's error is
+    raised, or else that of the lowest-numbered share that raised.
     """
     n = max(1, min(_cpu_count(), n_tasks))
     stop = threading.Event()
-    results = [None] * n
-    errors: list[BaseException] = []
 
-    def tasks(k: int) -> Iterator[int]:
-        for task in range(k, n_tasks, n):
-            if stop.is_set():
-                return
-            yield task
-
-    def run(k: int) -> None:
+    def run(k: int) -> object:
         try:
-            results[k] = share(tasks(k))
-        except BaseException as exc:  # re-raised below, in the calling thread
-            errors.append(exc)
+            return share(itertools.takewhile(lambda _: not stop.is_set(), range(k, n_tasks, n)))
+        except BaseException:
             stop.set()
+            raise
 
-    started: list[threading.Thread] = []
-    try:
-        for k in range(1, n):
-            thread = threading.Thread(target=run, args=(k,))
-            thread.start()
-            started.append(thread)
-        run(0)
-        for thread in started:
-            thread.join()
-    except BaseException:  # an interrupt while starting or joining
-        stop.set()
-        for thread in started:
-            thread.join()
-        raise
-    if errors:
-        raise errors[0]
-    return results
+    with ThreadPoolExecutor(max(1, n - 1)) as pool:  # T = 1 submits nothing
+        try:
+            others = [pool.submit(run, k) for k in range(1, n)]
+            return [run(0)] + [f.result() for f in others]
+        except BaseException:
+            stop.set()
+            raise
 
 
 class CacheFormatError(ValueError):

@@ -562,6 +562,42 @@ class TestFlagsBeforeLog:
         assert list(tmp_path.iterdir()) == []
 
 
+UNWRITABLE_OUTPUTS = [
+    (["evaluate"], "--out", "missing"),
+    (["evaluate"], "--out", "directory"),
+    (["analyze-ssnr"], "--curve-out", "missing"),
+    (["analyze-ssnr"], "--curve-out", "directory"),
+    (["sweep", "--family", "exp", "--grid-points", "2"], "--table-out", "missing"),
+    (["sweep", "--family", "exp", "--grid-points", "2"], "--table-out", "directory"),
+    # an existing directory is read as a cache, so it fails before any write
+    (["analyze-ssnr", "--curve-out", "curve.csv"], "--sim-cache", "missing"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, where", UNWRITABLE_OUTPUTS,
+    ids=[f"{argv[0]} {flag} {where}" for argv, flag, where in UNWRITABLE_OUTPUTS],
+)
+def test_unwritable_output_names_the_given_path(
+    small_log, tmp_path, monkeypatch, capsys, argv, flag, where
+):
+    # a path in a missing directory, or an existing directory as the path
+    out = tmp_path / "out"
+    if where == "missing":
+        out, error = out / "file", "FileNotFoundError: [Errno 2] No such file or directory"
+    else:
+        out.mkdir()
+        error = "IsADirectoryError: [Errno 21] Is a directory"
+    monkeypatch.chdir(tmp_path)
+    code, _out, err = run(capsys, *argv, "--in", str(small_log), flag, str(out))
+    assert code == 1
+    assert [line for line in err.splitlines() if str(out) in line] == [
+        f"driftcf: error: {error}: {str(out)!r}"
+    ]
+    assert ".driftcf-tmp-" not in err
+    assert not list(tmp_path.rglob(".driftcf-tmp-*"))
+
+
 class TestTopLevel:
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -441,8 +441,10 @@ class TestThreads:
         check()
         assert all(seen.values()), seen
 
+    # user 0 is the calling thread's first task, user 1 a worker's first
+    @pytest.mark.parametrize("failing_user", [0, 1], ids=["calling", "worker"])
     @pytest.mark.parametrize("error", [ValueError("planted"), KeyboardInterrupt()])
-    def test_first_error_raised_and_no_thread_left(self, error):
+    def test_first_error_raised_and_no_thread_left(self, error, failing_user):
         ds = preprocess(generate_synthetic(SyntheticConfig(
             users=40, items=100, events=1200, topics=6, seed=8,
         )))
@@ -451,8 +453,8 @@ class TestThreads:
         scored = []
 
         def failing(train, model, user, *args):
-            # the calling thread's first user; every other takes 10 ms
-            if user == users[0]:
+            # one thread's first user fails; every other takes 10 ms
+            if user == users[failing_user]:
                 raise error
             scored.append(user)
             time.sleep(0.01)

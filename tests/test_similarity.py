@@ -573,7 +573,7 @@ class TestCorruptCache:
         code = main(argv + ["--curve-out", str(tmp_path / "curve.csv")])
         err = capsys.readouterr().err
         assert code == 1
-        assert f"cache holds {n_items} items, the training set {n_train}" in err
+        assert f"ValueError: the model has {n_items} items, the training set {n_train}" in err
         assert "Traceback" not in err
 
     def test_short_header_rejected(self, small_cache, tmp_path):
